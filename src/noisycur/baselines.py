@@ -166,7 +166,7 @@ class AdmmResult:
     iterations: int
     primal_residual: float
     dual_residual: float
-    objective_trace: np.ndarray
+    objective: float  # ||Z||_* + (rho/2) ||Z - W||_F^2 at the last iterate
 
 
 def _project_balls(v, target, constraints):
@@ -194,7 +194,8 @@ def _admm_nuclear(target, constraints, settings: AdmmSettings) -> AdmmResult:
     Scaled two-block ADMM: a singular value thresholding step on Z, a ball
     projection step on the splitting variable W, and a dual update.  Boyd-
     style combined absolute/relative stopping with settings.tol for both.
-    The recorded objective is ||Z||_* + (rho/2) ||Z - W||_F^2.
+    The reported objective is ||Z||_* + (rho/2) ||Z - W||_F^2, evaluated
+    once at the last iterate.
     """
     m, n = target.shape
     z = np.zeros((m, n))
@@ -204,7 +205,6 @@ def _admm_nuclear(target, constraints, settings: AdmmSettings) -> AdmmResult:
     tol = settings.tol
     sqrt_mn = math.sqrt(m * n)
 
-    trace = []
     primal = dual = math.inf
     converged = False
     it = 0
@@ -217,8 +217,6 @@ def _admm_nuclear(target, constraints, settings: AdmmSettings) -> AdmmResult:
         gap = z - w
         primal = float(np.linalg.norm(gap))
         dual = rho * float(np.linalg.norm(w - w_prev))
-        nuclear = float(np.linalg.svd(z, compute_uv=False).sum())
-        trace.append(nuclear + 0.5 * rho * primal**2)
 
         eps_pri = sqrt_mn * tol + tol * max(np.linalg.norm(z), np.linalg.norm(w))
         eps_dual = sqrt_mn * tol + tol * rho * float(np.linalg.norm(u))
@@ -226,6 +224,7 @@ def _admm_nuclear(target, constraints, settings: AdmmSettings) -> AdmmResult:
             converged = True
             break
 
+    nuclear = float(np.linalg.svd(z, compute_uv=False).sum())
     # Report the feasible iterate: W satisfies the ball constraints exactly.
     return AdmmResult(
         matrix=w,
@@ -233,7 +232,7 @@ def _admm_nuclear(target, constraints, settings: AdmmSettings) -> AdmmResult:
         iterations=it,
         primal_residual=primal,
         dual_residual=dual,
-        objective_trace=np.asarray(trace),
+        objective=nuclear + 0.5 * rho * primal**2,
     )
 
 

@@ -4,6 +4,11 @@ Pipeline: sample d columns through heavy noise, take an orthonormal basis U
 of the noisy column matrix, sketch s rows by shrinked leverage scores of U,
 observe those rows at entry precision, then ridge-regress the sketched rows
 onto the sketched columns.  The reconstruction is c_tilde @ X.
+
+The sketch samples its s rows with replacement, so S S^T is diagonal and
+the ridge problem has the same normal equations on the distinct sampled
+rows alone: the solve runs on at most m rows however large s is, and the
+s x d sketched design is only built when something asks for it.
 """
 
 import math
@@ -12,9 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .linalg import (
     LeverageProfile,
+    SketchMatrix,
     apply_sketch_transpose,
     as_matrix,
     build_sketch,
@@ -60,15 +67,24 @@ class NoisyCurConfig:
 
 @dataclass
 class NoisyCurDraw:
-    """Everything random in one run: noisy columns, sketch, sketched targets."""
+    """Everything random in one run: noisy columns, sketch, sketched targets.
+
+    targets keeps one row per sample, each with its own noise.  The matching
+    per-sample design S^T c_tilde, shape (s, d), is built on demand only:
+    the solve never needs it, cross-validation over samples does.
+    """
 
     c_tilde: np.ndarray
     column_indices: np.ndarray
     basis_rank: int
     scores: np.ndarray
-    sketch: object
-    design: np.ndarray   # S^T c_tilde, shape (s, d)
+    sketch: SketchMatrix
     targets: np.ndarray  # S^T a + noise, shape (s, n)
+
+    @property
+    def design(self) -> np.ndarray:
+        """S^T c_tilde, shape (s, d), gathered afresh on every access."""
+        return apply_sketch_transpose(self.sketch, self.c_tilde)
 
 
 @dataclass
@@ -157,23 +173,37 @@ def draw_noisycur_samples(a, cfg: NoisyCurConfig,
             np.full(a.shape[0], 1.0 / a.shape[0]), "shrinked-row")
     sketch = build_sketch(profile, cfg.n_rows, rng_sketch)
     targets = sample_rows_noisy(a, sketch, cfg.sigma_e, rng_rows)
-    design = apply_sketch_transpose(sketch, c_tilde)
     return NoisyCurDraw(
         c_tilde=c_tilde,
         column_indices=indices,
         basis_rank=basis_rank,
         scores=profile.scores,
         sketch=sketch,
-        design=design,
         targets=targets,
     )
 
 
 def solve_from_draw(draw: NoisyCurDraw, ridge_lambda: float,
                     plan: SamplingPlan | None = None) -> Reconstruction:
-    """Ridge-solve a draw and package the reconstruction with diagnostics."""
-    gram = draw.design.T @ draw.design
-    x = ridge_solve(draw.design, draw.targets, ridge_lambda, gram=gram)
+    """Ridge-solve a draw and package the reconstruction with diagnostics.
+
+    The solve runs on the collapsed sketch: row u carries the design row
+    sqrt(w_u) c_tilde[u] and the target (S targets)[u] / sqrt(w_u), where
+    w_u sums the squared scales of the samples of row u.  Its Gram matrix
+    and B^T Y equal the per-sample ones, so both ridge branches return the
+    per-sample solution.
+    """
+    collapsed, inverse = draw.sketch.collapse()
+    s = draw.sketch.n_cols
+    # S restricted to the sampled rows and divided by sqrt(w), one nonzero
+    # per column: a CSC operator sums each row's samples without sorting
+    targets = scipy.sparse.csc_array(
+        (draw.sketch.scales / collapsed.scales[inverse], inverse,
+         np.arange(s + 1)),
+        shape=(collapsed.n_cols, s)) @ draw.targets
+    design = apply_sketch_transpose(collapsed, draw.c_tilde)
+    gram = design.T @ design
+    x = ridge_solve(design, targets, ridge_lambda, gram=gram)
     estimate = draw.c_tilde @ x
 
     d = draw.c_tilde.shape[1]
@@ -182,7 +212,7 @@ def solve_from_draw(draw: NoisyCurDraw, ridge_lambda: float,
     eig_min = float(np.linalg.eigvalsh(gram)[0])
     diagnostics = {
         "sketch_distortion": (
-            embedding_distortion(draw.sketch, draw.c_tilde)
+            embedding_distortion(collapsed, draw.c_tilde)
             if np.any(draw.c_tilde) else 0.0),
         "sigma_d_c_tilde": sigma_d_c,
         "sigma_d_sketched": math.sqrt(max(eig_min, 0.0)),

@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -384,7 +385,15 @@ def load_dataset(config: ExperimentConfig):
     elif kind == "movielens":
         pm = load_movielens_100k(ds["path"])
         completion_rank = ds["completion_rank"] or ds["rank"]
-        a, _ = iterative_svd_complete(pm, completion_rank)
+        a, info = iterative_svd_complete(pm, completion_rank)
+        if not info["converged"]:
+            warnings.warn(
+                f"iterative-SVD completion of {ds['path']} stopped after "
+                f"{info['iterations']} iterations without converging; the "
+                "dataset is its last iterate",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         rank = ds["rank"]
         description = (f"rank-{completion_rank} iterative-SVD completion "
                        f"of {ds['path']}")

@@ -185,10 +185,30 @@ class SketchMatrix:
         s[self.indices, np.arange(self.n_cols)] = self.scales
         return s
 
+    def row_weights(self) -> np.ndarray:
+        """Diagonal of S S^T: the sum of squared scales landing on each row."""
+        return np.bincount(self.indices, weights=self.scales**2, minlength=self.n_rows)
+
     def spectral_norm_sq(self) -> float:
         """Exact ||S||_2^2 = max_i sum of squared scales landing on row i."""
-        per_row = np.bincount(self.indices, weights=self.scales**2, minlength=self.n_rows)
-        return float(per_row.max())
+        return float(self.row_weights().max())
+
+    def collapse(self):
+        """The equivalent sketch on the distinct sampled rows.
+
+        S S^T is diagonal with weights w = row_weights(), so the sketch with
+        one column per sampled row u (in increasing order) and scale
+        sqrt(w_u) has the same S S^T and at most n_rows columns.  Returns
+        (collapsed, inverse), where inverse[j] is the collapsed column that
+        sample j landed in.
+        """
+        weights = self.row_weights()
+        rows = np.flatnonzero(weights)
+        position = np.empty(self.n_rows, dtype=np.int64)
+        position[rows] = np.arange(rows.size)
+        collapsed = SketchMatrix(n_rows=self.n_rows, indices=rows,
+                                 scales=np.sqrt(weights[rows]))
+        return collapsed, position[self.indices]
 
 
 def build_sketch(p, s: int, rng: np.random.Generator) -> SketchMatrix:

@@ -186,7 +186,7 @@ class TestNna:
         pm = make_pm((3, 3), entries=[(i, j, float(i == j))
                                       for i in range(3) for j in range(3)])
         fit = nna(pm, 0.0, AdmmSettings(tol=1e-9, max_iters=4000))
-        assert fit.objective_trace[-1] == pytest.approx(
+        assert fit.objective == pytest.approx(
             nuclear_norm(fit.matrix), abs=1e-6)
 
 

@@ -1,6 +1,8 @@
 """Ridge regression core, full pipeline runs, and lambda cross-validation."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from noisycur.completion import (
     NoisyCurConfig,
+    NoisyCurDraw,
     cross_validate_lambda,
     draw_noisycur_samples,
     guarantee_sample_sizes,
@@ -16,6 +19,11 @@ from noisycur.completion import (
     solve_from_draw,
 )
 from noisycur.datasets import synthetic_lowrank
+from noisycur.linalg import (
+    SketchMatrix,
+    apply_sketch_transpose,
+    embedding_distortion,
+)
 
 
 def ridge_by_gradient_descent(b, y, lam, tol=1e-10, max_iters=200_000):
@@ -188,6 +196,107 @@ class TestNoisyCurPipeline:
             assert key in rec.diagnostics
         assert rec.diagnostics["ridge_lambda"] == 1.0
         assert rec.diagnostics["sigma_d_sketched"] >= 0.0
+
+
+def per_sample_solve(draw, lam):
+    """Reference: the s x d gathered design, then ridge_solve on it."""
+    design = apply_sketch_transpose(draw.sketch, draw.c_tilde)
+    gram = design.T @ design
+    x = ridge_solve(design, draw.targets, lam, gram=gram)
+    return {
+        "estimate": draw.c_tilde @ x,
+        "coefficients": x,
+        "sigma_d_sketched": math.sqrt(max(np.linalg.eigvalsh(gram)[0], 0.0)),
+        "sketch_distortion": (embedding_distortion(draw.sketch, draw.c_tilde)
+                              if np.any(draw.c_tilde) else 0.0),
+    }
+
+
+class TestCollapsedSolve:
+    """solve_from_draw on the distinct sampled rows against the s-row path."""
+
+    def check(self, draw, lam, sigma_d_is_zero=False):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ref = per_sample_solve(draw, lam)
+            rec = solve_from_draw(draw, lam)
+        if lam == 0.0 and draw.basis_rank < draw.c_tilde.shape[1]:
+            # both solves see the rank deficiency and say so
+            assert sum("rank-deficient" in str(w.message)
+                       for w in caught) == 2
+        for key in ("estimate", "coefficients"):
+            diff = np.linalg.norm(getattr(rec, key) - ref[key])
+            assert diff <= 1e-10 * np.linalg.norm(ref[key]), key
+        np.testing.assert_allclose(rec.diagnostics["sketch_distortion"],
+                                   ref["sketch_distortion"], rtol=1e-10)
+        if sigma_d_is_zero:
+            # the smallest Gram eigenvalue is zero up to rounding on both
+            # paths; its square root is only a rounding error's
+            scale = np.linalg.norm(draw.design, 2)
+            assert rec.diagnostics["sigma_d_sketched"] <= 1e-6 * scale
+            assert ref["sigma_d_sketched"] <= 1e-6 * scale
+        else:
+            np.testing.assert_allclose(rec.diagnostics["sigma_d_sketched"],
+                                       ref["sigma_d_sketched"], rtol=1e-10)
+        return rec
+
+    def test_duplicate_heavy_sketch(self):
+        a = synthetic_lowrank(12, 10, 3, rng=np.random.default_rng(5))
+        cfg = NoisyCurConfig(n_columns=5, n_rows=400, sigma_c=0.3,
+                             sigma_e=0.1, ridge_lambda=0.5)
+        draw = draw_noisycur_samples(a, cfg, np.random.default_rng(8))
+        collapsed, _ = draw.sketch.collapse()
+        assert collapsed.n_cols <= 12 < draw.sketch.n_cols
+        self.check(draw, 0.5)
+        self.check(draw, 0.0)
+
+    def test_lambda_zero_rank_deficient_design(self):
+        # noiseless columns of a rank-2 matrix: 5 columns spanning 2
+        a = synthetic_lowrank(12, 10, 2, rng=np.random.default_rng(6))
+        cfg = NoisyCurConfig(n_columns=5, n_rows=60, sigma_c=0.0,
+                             sigma_e=0.05, ridge_lambda=0.0)
+        draw = draw_noisycur_samples(a, cfg, np.random.default_rng(2))
+        assert draw.basis_rank == 2
+        self.check(draw, 0.0, sigma_d_is_zero=True)
+
+    def test_all_zero_columns(self):
+        cfg = NoisyCurConfig(n_columns=3, n_rows=30, sigma_c=0.0,
+                             sigma_e=0.1, ridge_lambda=1.0)
+        draw = draw_noisycur_samples(np.zeros((8, 6)), cfg,
+                                     np.random.default_rng(4))
+        assert draw.basis_rank == 0
+        rec = self.check(draw, 1.0, sigma_d_is_zero=True)
+        assert rec.diagnostics["sketch_distortion"] == 0.0
+        assert not rec.estimate.any()
+        self.check(draw, 0.0, sigma_d_is_zero=True)
+
+    def test_fewer_distinct_rows_than_basis_rank(self):
+        # ten samples (more than the rank) on only five distinct rows
+        a = synthetic_lowrank(12, 10, 3, rng=np.random.default_rng(7))
+        cfg = NoisyCurConfig(n_columns=8, n_rows=10, sigma_c=0.3,
+                             sigma_e=0.1, ridge_lambda=0.2)
+        draw = draw_noisycur_samples(a, cfg, np.random.default_rng(1))
+        assert draw.basis_rank == 8
+        rows = np.repeat(np.arange(5), 2)
+        sketch = SketchMatrix(n_rows=12, indices=rows,
+                              scales=np.linspace(0.8, 1.7, 10))
+        rng = np.random.default_rng(3)
+        draw = dataclasses.replace(
+            draw, sketch=sketch,
+            targets=apply_sketch_transpose(sketch, a)
+            + 0.1 * rng.standard_normal((10, 10)))
+        rec = self.check(draw, 0.2, sigma_d_is_zero=True)
+        assert rec.diagnostics["sketch_distortion"] >= 1.0
+
+    def test_design_is_built_on_demand(self):
+        assert "design" not in {f.name for f in dataclasses.fields(NoisyCurDraw)}
+        a = synthetic_lowrank(10, 8, 2, rng=np.random.default_rng(9))
+        cfg = NoisyCurConfig(n_columns=3, n_rows=7, sigma_c=0.2,
+                             sigma_e=0.1, ridge_lambda=1.0)
+        draw = draw_noisycur_samples(a, cfg, np.random.default_rng(0))
+        np.testing.assert_array_equal(
+            draw.design, apply_sketch_transpose(draw.sketch, draw.c_tilde))
+        assert draw.design.shape == (7, 3)
 
 
 class TestGuaranteeSampleSizes:

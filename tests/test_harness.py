@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import noisycur.harness as harness
 from noisycur.harness import (
     ALGORITHM_NAMES,
     CSV_COLUMNS,
@@ -157,6 +158,22 @@ class TestDatasetAndCostModel:
         np.testing.assert_array_equal(loaded, a)
         assert ds.n_rows == 3 and ds.n_cols == 4
 
+    def test_movielens_unconverged_completion_warns(self, tmp_path,
+                                                    monkeypatch):
+        # one rating per user, so no column falls back to the global mean
+        p = tmp_path / "u.data"
+        p.write_text("".join(f"{u}\t{u % 7 + 1}\t{u % 5 + 1}\t0\n"
+                             for u in range(1, 944)))
+        real = harness.iterative_svd_complete
+        monkeypatch.setattr(harness, "iterative_svd_complete",
+                            lambda pm, rank: real(pm, rank, max_iters=1))
+        cfg = config_from_dict({
+            "dataset": {"kind": "movielens", "path": str(p), "rank": 1}})
+        with pytest.warns(RuntimeWarning,
+                          match="stopped after 1 iterations without"):
+            a, ds = load_dataset(cfg)
+        assert a.shape == (1682, 943)
+
     def test_default_budget_formula(self):
         cfg = tiny_config()
         model = build_cost_model(cfg, n_rows=24, rank=2)
@@ -207,6 +224,14 @@ class TestRunSingleCell:
         hp = json.loads(row["hyperparams"])
         assert "ridge_lambda" in hp
         assert hp["cv_folds"] >= 2
+
+    def test_ncur_charges_every_sampled_entry(self):
+        row = run_single_cell(self.a, self.model, "ncur", 4, seed=11,
+                              hyper=self.cfg.hyper["ncur"])
+        n = self.a.shape[1]
+        expected = (4 * self.model.column_price
+                    + row["s"] * n * self.model.entry_price)
+        assert row["spent"] == pytest.approx(expected, rel=1e-12)
 
     def test_rerun_bit_exact(self):
         kw = dict(hyper=self.cfg.hyper["ncur"])

@@ -190,6 +190,28 @@ class TestApplySketch:
             apply_sketch_transpose(sk, np.eye(4))
 
 
+class TestCollapse:
+    def test_same_sketch_product_on_distinct_rows(self):
+        rng = np.random.default_rng(12)
+        sk = build_sketch(np.full(5, 1 / 5), 40, rng)
+        collapsed, inverse = sk.collapse()
+        np.testing.assert_array_equal(collapsed.indices,
+                                      np.unique(sk.indices))
+        np.testing.assert_array_equal(collapsed.indices[inverse], sk.indices)
+        np.testing.assert_allclose(collapsed.dense() @ collapsed.dense().T,
+                                   sk.dense() @ sk.dense().T, rtol=1e-12)
+        assert collapsed.spectral_norm_sq() == pytest.approx(
+            sk.spectral_norm_sq(), rel=1e-12)
+
+    def test_distinct_rows_keep_their_scales(self):
+        sk = SketchMatrix(n_rows=6, indices=np.array([4, 1]),
+                          scales=np.array([0.5, 2.0]))
+        collapsed, inverse = sk.collapse()
+        np.testing.assert_array_equal(collapsed.indices, [1, 4])
+        np.testing.assert_allclose(collapsed.scales, [2.0, 0.5], rtol=1e-15)
+        np.testing.assert_array_equal(inverse, [1, 0])
+
+
 class TestEmbeddingCheck:
     def test_full_identity_selection(self):
         m = 5
