@@ -42,11 +42,9 @@ from .baselines import (
     AdmmResult,
     AdmmSettings,
     PartialMatrix,
-    chen_two_phase,
     curplus,
     nna,
     nns,
-    project_omega,
     svt,
 )
 from .datasets import (

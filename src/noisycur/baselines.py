@@ -5,6 +5,13 @@ around the observed entries, solved by ADMM with a singular-value
 thresholding step.  The two constraint supports (noisy column cells, accurate
 entry cells) are disjoint, so projecting onto the intersection splits into
 independent ball projections per support.
+
+The ADMM penalty rho starts at AdmmSettings.rho and is balanced against the
+residuals as the solve runs (Boyd et al. 2011, section 3.4.1: mu = 10,
+tau = 2), with the scaled dual rescaled by rho_old / rho_new at each change.
+A solve can be warm-started from an earlier AdmmResult, whose final iterate,
+scaled dual and penalty it carries, so that a path of radii is solved from
+one radius to the next (Mazumder, Hastie & Tibshirani 2010).
 """
 
 import math
@@ -20,13 +27,11 @@ __all__ = [
     "AdmmSettings",
     "AdmmResult",
     "CurPlusFit",
-    "project_omega",
     "svt",
     "nna",
     "nns",
     "curplus",
     "chen_observe",
-    "chen_two_phase",
 ]
 
 ENTRY_MODE = "entry"
@@ -118,14 +123,6 @@ class PartialMatrix:
         return pm
 
 
-def project_omega(a, rows, cols) -> np.ndarray:
-    """Zero a copy of ``a`` everywhere off the index set (rows, cols)."""
-    a = as_matrix(a)
-    out = np.zeros_like(a)
-    out[rows, cols] = a[rows, cols]
-    return out
-
-
 def svt(a, tau: float) -> np.ndarray:
     """Singular value thresholding: shrink every singular value by tau, floor at 0.
 
@@ -142,7 +139,7 @@ def svt(a, tau: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AdmmSettings:
-    """Penalty weight, stopping tolerance, and iteration cap for ADMM."""
+    """Initial penalty weight, stopping tolerance, and iteration cap for ADMM."""
 
     rho: float = 1.0
     tol: float = 1e-6
@@ -167,6 +164,8 @@ class AdmmResult:
     primal_residual: float
     dual_residual: float
     objective: float  # ||Z||_* + (rho/2) ||Z - W||_F^2 at the last iterate
+    dual: np.ndarray  # scaled dual U at the last iterate, for warm starts
+    rho: float  # penalty after the last balancing step
 
 
 def _project_balls(v, target, constraints):
@@ -188,20 +187,37 @@ def _project_balls(v, target, constraints):
     return w
 
 
-def _admm_nuclear(target, constraints, settings: AdmmSettings) -> AdmmResult:
+def _admm_nuclear(target, constraints, settings: AdmmSettings,
+                  start: AdmmResult | None = None) -> AdmmResult:
     """min ||Z||_* s.t. ||P_omega_k(Z - target)||_F <= radius_k for each k.
 
     Scaled two-block ADMM: a singular value thresholding step on Z, a ball
     projection step on the splitting variable W, and a dual update.  Boyd-
     style combined absolute/relative stopping with settings.tol for both.
+
+    settings.rho is the initial penalty.  After each iteration's stopping
+    test the penalty is balanced against the residuals (Boyd et al. 2011,
+    section 3.4.1, with mu = 10 and tau = 2): rho doubles when the primal
+    residual exceeds ten times the dual one and halves in the opposite
+    case, and the scaled dual U is rescaled by rho_old / rho_new so that
+    the unscaled dual rho * U is unchanged.
+
+    ``start`` warm-starts the solve from an earlier result, typically the
+    previous radius on a regularisation path (Mazumder, Hastie &
+    Tibshirani 2010): W, U and rho are taken from it, and Z is recomputed
+    from W - U in the first step.  The constraints need not match the
+    earlier solve's.
+
     The reported objective is ||Z||_* + (rho/2) ||Z - W||_F^2, evaluated
-    once at the last iterate.
+    once at the last iterate with the final rho.
     """
     m, n = target.shape
-    z = np.zeros((m, n))
-    w = np.zeros((m, n))
-    u = np.zeros((m, n))
-    rho = settings.rho
+    if start is None:
+        w = np.zeros((m, n))
+        u = np.zeros((m, n))
+        rho = settings.rho
+    else:
+        w, u, rho = start.matrix, start.dual, start.rho
     tol = settings.tol
     sqrt_mn = math.sqrt(m * n)
 
@@ -223,6 +239,12 @@ def _admm_nuclear(target, constraints, settings: AdmmSettings) -> AdmmResult:
         if primal <= eps_pri and dual <= eps_dual:
             converged = True
             break
+        if primal > 10.0 * dual:
+            rho *= 2.0
+            u = u / 2.0
+        elif dual > 10.0 * primal:
+            rho /= 2.0
+            u = u * 2.0
 
     nuclear = float(np.linalg.svd(z, compute_uv=False).sum())
     # Report the feasible iterate: W satisfies the ball constraints exactly.
@@ -233,15 +255,19 @@ def _admm_nuclear(target, constraints, settings: AdmmSettings) -> AdmmResult:
         primal_residual=primal,
         dual_residual=dual,
         objective=nuclear + 0.5 * rho * primal**2,
+        dual=u,
+        rho=rho,
     )
 
 
 def nna(obs: PartialMatrix, delta: float,
-        settings: AdmmSettings | None = None) -> AdmmResult:
+        settings: AdmmSettings | None = None,
+        start: AdmmResult | None = None) -> AdmmResult:
     """Nuclear-norm completion with all observations in a single ball.
 
     min ||Z||_* s.t. ||P_omega(Z - observed)||_F <= delta, over every
-    observed cell regardless of mode.
+    observed cell regardless of mode.  ``start`` warm-starts the solver
+    from an earlier result (see _admm_nuclear).
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
@@ -250,7 +276,8 @@ def nna(obs: PartialMatrix, delta: float,
     settings = settings or AdmmSettings()
     target = obs.dense_fill(0.0)
     rows, cols = obs.indices()
-    return _admm_nuclear(target, [((rows, cols), float(delta))], settings)
+    return _admm_nuclear(target, [((rows, cols), float(delta))], settings,
+                         start)
 
 
 def nns(obs: PartialMatrix, c1: float, c2: float, d: int,
@@ -365,19 +392,3 @@ def chen_observe(a, model: TwoCostModel, phase1_fraction: float,
         "rank_used": k,
     }
     return obs, info
-
-
-def chen_two_phase(a, model: TwoCostModel, phase1_fraction: float,
-                   settings: AdmmSettings | None, rng: np.random.Generator,
-                   rank: int, delta: float | None = None) -> AdmmResult:
-    """Two-phase sampling followed by the nna nuclear-norm solve.
-
-    delta = None uses the natural scale sqrt(#distinct cells) * sigma_e.
-    Performance does not depend on the column-sample count d; the method
-    spends its whole budget on entries.
-    """
-    obs_set, _ = chen_observe(a, model, phase1_fraction, rng, rank)
-    pm = PartialMatrix.from_observations(obs_set)
-    if delta is None:
-        delta = math.sqrt(pm.n_cells) * model.sigma_e
-    return nna(pm, delta, settings)

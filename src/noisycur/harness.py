@@ -502,27 +502,59 @@ def _holdout_sse(estimate: np.ndarray, pm: PartialMatrix, keys) -> float:
 
 
 def _cv_entry_delta(pm: PartialMatrix, sigma_e: float, factors,
-                    rng: np.random.Generator, hyper: dict) -> float:
+                    rng: np.random.Generator, hyper: dict):
     """Slack factor for a single-ball nuclear norm fit.
 
     delta = factor * sqrt(#cells) * sigma_e; the factor is scored on an
     80/20 holdout of the observed cells, with the radius rescaled to the
-    train cell count.  Falls back to factor 1 (the expected noise norm)
-    when there are too few cells to split.
+    train cell count.  The factors are solved from the largest radius to
+    the smallest, each solve warm-started from the one before; scores
+    keep the grid's order, so ties go to the first factor in the grid.
+    Falls back to factor 1 (the expected noise norm) when there are too
+    few cells to split.
+
+    Returns (factor, fit, cv_converged): the picked factor, its train fit
+    (None when no CV ran) to warm-start the final solve from, and how many
+    CV solves converged.
     """
     factors = tuple(factors)
     if len(factors) == 1:
-        return factors[0]
+        return factors[0], None, 0
     train, held = _holdout_split(pm, rng)
     if train is None:
-        return 1.0
+        return 1.0, None, 0
     settings = _admm_settings(hyper, cv=True)
-    scores = np.empty(len(factors))
-    for k, factor in enumerate(factors):
-        delta = factor * math.sqrt(train.n_cells) * sigma_e
-        fit = nna(train, delta, settings)
+    scores = np.full(len(factors), np.inf)
+    fit = best_fit = None
+    cv_converged = 0
+    for k in sorted(range(len(factors)), key=lambda k: -factors[k]):
+        delta = factors[k] * math.sqrt(train.n_cells) * sigma_e
+        fit = nna(train, delta, settings, start=fit)
+        cv_converged += fit.converged
         scores[k] = _holdout_sse(fit.matrix, pm, held)
-    return factors[int(np.argmin(scores))]
+        # Keep only the fit the final argmin can pick, not every fit: a
+        # fit holds two matrices the size of the data.
+        if int(np.argmin(scores)) == k:
+            best_fit = fit
+    return factors[int(np.argmin(scores))], best_fit, cv_converged
+
+
+def _fit_entry_delta(pm: PartialMatrix, sigma_e: float,
+                     rng: np.random.Generator, hyper: dict):
+    """Cross-validate the slack factor, then solve on every observed cell,
+    warm-started from the picked factor's train fit.
+
+    Returns the final fit and its hyperparameter record, which says whether
+    the final solve converged and how many CV solves did.
+    """
+    factor, cv_fit, cv_converged = _cv_entry_delta(
+        pm, sigma_e, hyper["delta_factors"], rng, hyper)
+    delta = factor * math.sqrt(pm.n_cells) * sigma_e
+    fit = nna(pm, delta, _admm_settings(hyper, cv=False), start=cv_fit)
+    return fit, {"delta": delta, "delta_factor": factor,
+                 "admm_iterations": fit.iterations,
+                 "admm_converged": fit.converged,
+                 "cv_converged": cv_converged}
 
 
 def _run_ncur(a, model: TwoCostModel, d: int, rng: np.random.Generator,
@@ -601,18 +633,13 @@ def _run_nna(a, model: TwoCostModel, d: int, rng: np.random.Generator,
         raise InfeasiblePlanError("budget buys no entry observations")
     obs = sample_entries(a, n_entries, model.sigma_e, rng)
     pm = PartialMatrix.from_observations(obs)
-    factor = _cv_entry_delta(pm, model.sigma_e, hyper["delta_factors"],
-                             rng, hyper)
-    delta = factor * math.sqrt(pm.n_cells) * model.sigma_e
-    fit = nna(pm, delta, _admm_settings(hyper, cv=False))
+    fit, record = _fit_entry_delta(pm, model.sigma_e, rng, hyper)
 
     ledger = BudgetLedger(model.budget)
     ledger.charge("entry", len(obs.entry_samples), model.entry_price)
     return _CellOutcome(
         estimate=fit.matrix, n_sketch_rows=0, ledger=ledger,
-        hyperparams={"delta": delta, "delta_factor": factor,
-                     "n_entry_samples": n_entries,
-                     "admm_iterations": fit.iterations},
+        hyperparams={**record, "n_entry_samples": n_entries},
     )
 
 
@@ -694,21 +721,16 @@ def _run_chen(a, model: TwoCostModel, d: int, rng: np.random.Generator,
     obs, info = chen_observe(a, model, float(hyper["phase1_fraction"]),
                              rng, int(rank))
     pm = PartialMatrix.from_observations(obs)
-    factor = _cv_entry_delta(pm, model.sigma_e, hyper["delta_factors"],
-                             rng, hyper)
-    delta = factor * math.sqrt(pm.n_cells) * model.sigma_e
-    fit = nna(pm, delta, _admm_settings(hyper, cv=False))
+    fit, record = _fit_entry_delta(pm, model.sigma_e, rng, hyper)
 
     ledger = BudgetLedger(model.budget)
     ledger.charge("entry", info["phase1_count"] + info["phase2_count"],
                   model.entry_price)
     return _CellOutcome(
         estimate=fit.matrix, n_sketch_rows=0, ledger=ledger,
-        hyperparams={"delta": delta, "delta_factor": factor,
-                     "phase1_count": info["phase1_count"],
+        hyperparams={**record, "phase1_count": info["phase1_count"],
                      "phase2_count": info["phase2_count"],
-                     "scout_rank": int(rank),
-                     "admm_iterations": fit.iterations},
+                     "scout_rank": int(rank)},
     )
 
 

@@ -9,14 +9,13 @@ from noisycur.baselines import (
     AdmmSettings,
     PartialMatrix,
     chen_observe,
-    chen_two_phase,
     curplus,
     nna,
     nns,
-    project_omega,
     svt,
 )
 from noisycur.datasets import synthetic_lowrank
+from noisycur.harness import resolve_hyper, run_single_cell
 from noisycur.observe import ObservationSet, TwoCostModel, sample_entries
 
 
@@ -120,14 +119,22 @@ class TestSvt:
             svt(np.eye(2), -0.1)
 
 
-class TestProjectOmega:
-    def test_restriction(self):
-        a = np.arange(6.0).reshape(2, 3)
-        out = project_omega(a, np.array([0, 1]), np.array([2, 0]))
-        expected = np.zeros((2, 3))
-        expected[0, 2] = a[0, 2]
-        expected[1, 0] = a[1, 0]
-        np.testing.assert_array_equal(out, expected)
+def noisy_partial(seed, shape=(7, 7), rank=3, fraction=0.6, noise=0.1):
+    rng = np.random.default_rng(seed)
+    a = synthetic_lowrank(*shape, rank, rng=rng)
+    pm = PartialMatrix(a.shape)
+    for i in range(shape[0]):
+        for j in range(shape[1]):
+            if rng.random() < fraction:
+                pm.add(i, j, a[i, j] + noise * rng.standard_normal(),
+                       ENTRY_MODE)
+    return pm
+
+
+def ball_residual(fit, pm):
+    rows, cols = pm.indices()
+    return np.linalg.norm(fit.matrix[rows, cols]
+                          - pm.dense_fill()[rows, cols])
 
 
 class TestNna:
@@ -172,6 +179,37 @@ class TestNna:
         resid = np.linalg.norm(fit.matrix[rows, cols]
                                - pm.dense_fill()[rows, cols])
         assert resid <= delta + 1e-3
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_warm_start_reaches_cold_solution(self, seed):
+        # start from the fit at a larger radius, as the delta-CV path does
+        pm = noisy_partial(seed)
+        tol = 1e-8
+        settings = AdmmSettings(tol=tol, max_iters=10000)
+        delta = 0.1 * np.sqrt(pm.n_cells)
+        wider = nna(pm, 3 * delta, settings)
+        warm = nna(pm, delta, settings, start=wider)
+        cold = nna(pm, delta, settings)
+        assert wider.converged and warm.converged and cold.converged
+        # within ten primal stopping thresholds of the cold solve
+        threshold = tol * (np.sqrt(pm.shape[0] * pm.shape[1])
+                           + np.linalg.norm(cold.matrix))
+        assert np.linalg.norm(warm.matrix - cold.matrix) <= 10 * threshold
+        for fit in (warm, cold):
+            assert ball_residual(fit, pm) <= delta * (1 + 1e-12)
+
+    def test_balancing_moves_rho(self):
+        pm = noisy_partial(7)
+        settings = AdmmSettings(rho=1.0, tol=1e-7, max_iters=4000)
+        delta = 0.1 * np.sqrt(pm.n_cells)
+        fit = nna(pm, delta, settings)
+        assert fit.rho != settings.rho
+        assert fit.converged
+        assert ball_residual(fit, pm) <= delta * (1 + 1e-12)
+        # the carried iterate, scaled dual and penalty are a fixed point:
+        # restarting from them stops at the first stopping test
+        again = nna(pm, delta, settings, start=fit)
+        assert again.converged and again.iterations == 1
 
     def test_huge_delta_gives_zero(self):
         pm = make_pm((4, 4), entries=[(0, 0, 1.0), (1, 2, 2.0)])
@@ -334,12 +372,13 @@ class TestChenObserve:
             chen_observe(a, self.model(30.0), 0.5, np.random.default_rng(0), 1)
 
     def test_end_to_end_solver(self):
+        # one delta factor, so no CV: delta = sqrt(#cells) * sigma_e
         a = synthetic_lowrank(9, 8, 2, rng=np.random.default_rng(4))
-        fit = chen_two_phase(a, self.model(200.0), 0.5,
-                             AdmmSettings(tol=1e-7, max_iters=3000),
-                             np.random.default_rng(5), rank=2)
-        rel = np.linalg.norm(fit.matrix - a) / np.linalg.norm(a)
-        assert rel < 0.2
+        hyper = resolve_hyper("chen", {"rank": 2, "delta_factors": [1.0],
+                                       "tol": 1e-7, "max_iters": 3000})
+        row = run_single_cell(a, self.model(200.0), "chen", 2, seed=5,
+                              hyper=hyper)
+        assert row["rel_error"] < 0.2
 
 
 class TestAdmmSettings:

@@ -28,6 +28,8 @@ from noisycur.harness import (
     vshape_interior,
     write_resolved_config,
 )
+from noisycur.baselines import PartialMatrix
+from noisycur.observe import sample_entries
 from noisycur.rng import cell_seed
 
 TINY_RAW = {
@@ -283,6 +285,37 @@ class TestRunSingleCell:
                               hyper=hyper)
         assert row["feasible"]
         assert row["spent"] <= self.model.budget + 1e-9
+        hp = json.loads(row["hyperparams"])
+        assert isinstance(hp["admm_converged"], bool)
+        assert 0 <= hp["cv_converged"] <= 3
+
+    def test_nna_replays_after_another_cell(self):
+        # the warm-started CV path keeps no state between cells
+        hyper = self.cfg.hyper["nna"]
+        first = run_single_cell(self.a, self.model, "nna", 2, seed=5,
+                                hyper=hyper)
+        run_single_cell(self.a, self.model, "nna", 2, seed=6, hyper=hyper)
+        again = run_single_cell(self.a, self.model, "nna", 2, seed=5,
+                                hyper=hyper)
+        del first["wall_ms"], again["wall_ms"]
+        assert again == first
+        hp = json.loads(first["hyperparams"])
+        assert isinstance(hp["admm_converged"], bool)
+        assert 0 <= hp["cv_converged"] <= len(hyper["delta_factors"])
+
+    def test_cv_pick_independent_of_grid_order(self):
+        hyper = self.cfg.hyper["nna"]
+        sigma_e = self.model.sigma_e
+        obs = sample_entries(self.a, 96, sigma_e, np.random.default_rng(3))
+        pm = PartialMatrix.from_observations(obs)
+        grid = tuple(hyper["delta_factors"])
+        picks = [harness._cv_entry_delta(pm, sigma_e, factors,
+                                         np.random.default_rng(4), hyper)
+                 for factors in (grid, grid[::-1])]
+        (up, up_fit, up_conv), (down, down_fit, down_conv) = picks
+        assert up == down
+        assert up_conv == down_conv
+        np.testing.assert_array_equal(up_fit.matrix, down_fit.matrix)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError):
