@@ -11,7 +11,6 @@ from .linalg import (
     SketchMatrix,
     apply_sketch_transpose,
     build_sketch,
-    check_subspace_embedding,
     column_leverage_and_coherence,
     embedding_distortion,
     orthonormal_basis,

@@ -264,8 +264,8 @@ def cv(data, n_columns, n_rows, sigma_c, sigma_e, lo, hi, num, folds,
         best = float(grid.min())
         click.echo(f"lambda {best:.6g} (no cross-validation split)")
         return
-    best, curve = cross_validate_lambda(draw.design, draw.targets, grid,
-                                        rng, n_folds=folds)
+    best, curve = cross_validate_lambda(draw.design, draw.sample_targets,
+                                        grid, rng, n_folds=folds)
     click.echo(f"lambda {best:.6g} by {folds}-fold cross-validation")
     for value, score in zip(grid, curve):
         marker = "  <-- chosen" if value == best else ""

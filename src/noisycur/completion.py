@@ -5,15 +5,25 @@ of the noisy column matrix, sketch s rows by shrinked leverage scores of U,
 observe those rows at entry precision, then ridge-regress the sketched rows
 onto the sketched columns.  The reconstruction is c_tilde @ X.
 
-The sketch samples its s rows with replacement, so S S^T is diagonal and
-the ridge problem has the same normal equations on the distinct sampled
-rows alone: the solve runs on at most m rows however large s is, and the
-s x d sketched design is only built when something asks for it.
+The sketch samples its s rows with replacement, so S S^T is diagonal with
+weights w_u, and the ridge problem has the same normal equations on the
+distinct sampled rows alone, each with scale sqrt(w_u).  Rows are observed
+on that collapsed sketch too.  Sample j of row u reads
+y_j = scale_j a_u + sigma_e z_j with z_j i.i.d. N(0, I); with
+c_j = scale_j / sqrt(w_u), so that the c_j of row u have unit norm, the
+sum t_u = sum_j c_j y_j = sqrt(w_u) a_u + sigma_e N(0, I) is one noisy read
+of row u at the collapsed scale.  So the solve draws one target per
+distinct row (at most m of them, however large s is), and the s per-sample
+targets that cross-validation folds over are drawn from t by Gaussian
+conditioning only when read: y_j = c_j t_u + sigma_e (r_j - c_j
+sum_{k in u} c_k r_k) with r i.i.d. N(0, I), which has the joint law above
+and sums back to t_u.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -69,22 +79,58 @@ class NoisyCurConfig:
 class NoisyCurDraw:
     """Everything random in one run: noisy columns, sketch, sketched targets.
 
-    targets keeps one row per sample, each with its own noise.  The matching
-    per-sample design S^T c_tilde, shape (s, d), is built on demand only:
-    the solve never needs it, cross-validation over samples does.
+    basis and singular_values come from one SVD of c_tilde (an all-zero
+    c_tilde has an empty basis and zero singular values).  row_targets
+    holds one noisy read per distinct sampled row, on the collapsed sketch:
+    its row u is sqrt(w_u) a_u plus N(0, sigma_e^2) per entry, the
+    scale-weighted sum of that row's per-sample reads (module docstring).
+    The per-sample targets and design, shape (s, n) and (s, d), are built
+    on demand only: the solve never needs them, cross-validation over
+    samples does.
     """
 
     c_tilde: np.ndarray
     column_indices: np.ndarray
-    basis_rank: int
+    basis: np.ndarray
+    singular_values: np.ndarray
     scores: np.ndarray
     sketch: SketchMatrix
-    targets: np.ndarray  # S^T a + noise, shape (s, n)
+    collapsed: SketchMatrix
+    inverse: np.ndarray  # collapsed column of each sample
+    row_targets: np.ndarray  # collapsed S^T a + noise, (collapsed.n_cols, n)
+    sigma_e: float
+    noise_rng: np.random.Generator = field(repr=False)
+
+    @property
+    def basis_rank(self) -> int:
+        return self.basis.shape[1]
 
     @property
     def design(self) -> np.ndarray:
         """S^T c_tilde, shape (s, d), gathered afresh on every access."""
         return apply_sketch_transpose(self.sketch, self.c_tilde)
+
+    @cached_property
+    def sample_targets(self) -> np.ndarray:
+        """Per-sample targets S^T a + noise, shape (s, n), drawn on first read.
+
+        The noise comes from the row-noise stream, after the row draw, by
+        Gaussian conditioning on row_targets (module docstring), so the
+        per-sample reads have the law of s independent reads and collapse
+        back to row_targets.
+        """
+        c = self.sketch.scales / self.collapsed.scales[self.inverse]
+        y = c[:, None] * self.row_targets[self.inverse]
+        if self.sigma_e > 0:
+            r = self.noise_rng.standard_normal(y.shape)
+            s = self.sketch.n_cols
+            # sum_{k in u} c_k r_k for every sampled row u, one nonzero per
+            # column, so no sort is needed
+            row_sums = scipy.sparse.csc_array(
+                (c, self.inverse, np.arange(s + 1)),
+                shape=(self.collapsed.n_cols, s)) @ r
+            y += self.sigma_e * (r - c[:, None] * row_sums[self.inverse])
+        return y
 
 
 @dataclass
@@ -105,7 +151,7 @@ class Reconstruction:
     plan: SamplingPlan | None = None
 
 
-def ridge_solve(design, targets, ridge_lambda: float, gram=None) -> np.ndarray:
+def ridge_solve(design, targets, ridge_lambda: float) -> np.ndarray:
     """Solve min_X ||targets - design @ X||_F^2 + ridge_lambda * ||X||_F^2.
 
     For ridge_lambda > 0 the normal equations (B^T B + lambda I) X = B^T Y
@@ -113,8 +159,6 @@ def ridge_solve(design, targets, ridge_lambda: float, gram=None) -> np.ndarray:
     matrix numerically indefinite the solver falls back to a least-squares
     solve of the stacked system.  ridge_lambda = 0 returns the minimum-norm
     least-squares solution and warns when the design is rank deficient.
-
-    gram may carry a precomputed design.T @ design to avoid recomputing it.
     """
     b = as_matrix(design, "design")
     y = as_matrix(targets, "targets")
@@ -137,8 +181,7 @@ def ridge_solve(design, targets, ridge_lambda: float, gram=None) -> np.ndarray:
             )
         return x
 
-    g = b.T @ b if gram is None else np.asarray(gram, dtype=np.float64)
-    shifted = g + ridge_lambda * np.eye(d)
+    shifted = b.T @ b + ridge_lambda * np.eye(d)
     rhs = b.T @ y
     try:
         factor = scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
@@ -162,25 +205,37 @@ def draw_noisycur_samples(a, cfg: NoisyCurConfig,
     rng_cols, rng_sketch, rng_rows = rng.spawn(3)
     c_tilde, indices = sample_columns(a, cfg.n_columns, cfg.sigma_c, rng_cols)
     if np.any(c_tilde):
-        basis = orthonormal_basis(c_tilde)
-        basis_rank = basis.shape[1]
+        basis, singular_values = orthonormal_basis(
+            c_tilde, return_singular_values=True)
         profile = shrinked_row_scores(basis)
     else:
         # all-zero observed columns span nothing; sketch rows uniformly so
         # the pipeline still runs (the ridge solve then returns X = 0)
-        basis_rank = 0
+        basis = np.zeros((a.shape[0], 0))
+        singular_values = np.zeros(min(c_tilde.shape))
         profile = LeverageProfile(
             np.full(a.shape[0], 1.0 / a.shape[0]), "shrinked-row")
     sketch = build_sketch(profile, cfg.n_rows, rng_sketch)
-    targets = sample_rows_noisy(a, sketch, cfg.sigma_e, rng_rows)
+    collapsed, inverse = sketch.collapse()
+    row_targets = sample_rows_noisy(a, collapsed, cfg.sigma_e, rng_rows)
     return NoisyCurDraw(
         c_tilde=c_tilde,
         column_indices=indices,
-        basis_rank=basis_rank,
+        basis=basis,
+        singular_values=singular_values,
         scores=profile.scores,
         sketch=sketch,
-        targets=targets,
+        collapsed=collapsed,
+        inverse=inverse,
+        row_targets=row_targets,
+        sigma_e=cfg.sigma_e,
+        noise_rng=rng_rows,
     )
+
+
+def _smallest_of_d(singular_values: np.ndarray, d: int) -> float:
+    """sigma_d of a matrix with d columns: 0 when it has fewer than d rows."""
+    return float(singular_values[d - 1]) if d <= singular_values.size else 0.0
 
 
 def solve_from_draw(draw: NoisyCurDraw, ridge_lambda: float,
@@ -188,34 +243,23 @@ def solve_from_draw(draw: NoisyCurDraw, ridge_lambda: float,
     """Ridge-solve a draw and package the reconstruction with diagnostics.
 
     The solve runs on the collapsed sketch: row u carries the design row
-    sqrt(w_u) c_tilde[u] and the target (S targets)[u] / sqrt(w_u), where
-    w_u sums the squared scales of the samples of row u.  Its Gram matrix
-    and B^T Y equal the per-sample ones, so both ridge branches return the
-    per-sample solution.
+    sqrt(w_u) c_tilde[u] and its target draw.row_targets[u].  The Gram matrix
+    equals the per-sample one, so sigma_d_sketched, taken from the
+    singular values of this design of at most m rows, is that of the
+    s x d per-sample design too.
     """
-    collapsed, inverse = draw.sketch.collapse()
-    s = draw.sketch.n_cols
-    # S restricted to the sampled rows and divided by sqrt(w), one nonzero
-    # per column: a CSC operator sums each row's samples without sorting
-    targets = scipy.sparse.csc_array(
-        (draw.sketch.scales / collapsed.scales[inverse], inverse,
-         np.arange(s + 1)),
-        shape=(collapsed.n_cols, s)) @ draw.targets
-    design = apply_sketch_transpose(collapsed, draw.c_tilde)
-    gram = design.T @ design
-    x = ridge_solve(design, targets, ridge_lambda, gram=gram)
+    design = apply_sketch_transpose(draw.collapsed, draw.c_tilde)
+    x = ridge_solve(design, draw.row_targets, ridge_lambda)
     estimate = draw.c_tilde @ x
 
     d = draw.c_tilde.shape[1]
-    sv_c = np.linalg.svd(draw.c_tilde, compute_uv=False)
-    sigma_d_c = float(sv_c[d - 1]) if d <= sv_c.size else 0.0
-    eig_min = float(np.linalg.eigvalsh(gram)[0])
     diagnostics = {
         "sketch_distortion": (
-            embedding_distortion(collapsed, draw.c_tilde)
-            if np.any(draw.c_tilde) else 0.0),
-        "sigma_d_c_tilde": sigma_d_c,
-        "sigma_d_sketched": math.sqrt(max(eig_min, 0.0)),
+            embedding_distortion(draw.collapsed, draw.basis)
+            if draw.basis_rank else 0.0),
+        "sigma_d_c_tilde": _smallest_of_d(draw.singular_values, d),
+        "sigma_d_sketched": _smallest_of_d(
+            np.linalg.svd(design, compute_uv=False), d),
         "basis_rank": draw.basis_rank,
         "ridge_lambda": float(ridge_lambda),
     }

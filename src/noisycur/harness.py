@@ -576,13 +576,13 @@ def _run_ncur(a, model: TwoCostModel, d: int, rng: np.random.Generator,
         best = float(grid.min())
         folds = 0
     else:
-        best, _ = cross_validate_lambda(draw.design, draw.targets, grid,
-                                        rng, n_folds=folds)
+        best, _ = cross_validate_lambda(draw.design, draw.sample_targets,
+                                        grid, rng, n_folds=folds)
     rec = solve_from_draw(draw, best, plan=plan)
 
     ledger = BudgetLedger(model.budget)
     ledger.charge("column", rec.c_tilde.shape[1], model.column_price)
-    ledger.charge("entry", draw.targets.size, model.entry_price)
+    ledger.charge("entry", draw.sketch.n_cols * n, model.entry_price)
     return _CellOutcome(
         estimate=rec.estimate, n_sketch_rows=plan.n_rows, ledger=ledger,
         hyperparams={"ridge_lambda": best, "cv_folds": folds},

@@ -21,7 +21,6 @@ __all__ = [
     "column_leverage_and_coherence",
     "build_sketch",
     "apply_sketch_transpose",
-    "check_subspace_embedding",
     "embedding_distortion",
 ]
 
@@ -58,12 +57,13 @@ def numerical_rank(a) -> int:
     return int(np.count_nonzero(sv > _rank_tolerance(a.shape, sv[0])))
 
 
-def orthonormal_basis(a) -> np.ndarray:
+def orthonormal_basis(a, return_singular_values: bool = False):
     """Orthonormal basis of the column span of ``a`` via thin SVD.
 
     Returns an (m, r) matrix with orthonormal columns, where r is the
-    numerical rank.  Raises ValueError for an all-zero input, which has no
-    basis.
+    numerical rank; with return_singular_values, also every singular value
+    of ``a`` in descending order, min(m, n) of them, from the same SVD.
+    Raises ValueError for an all-zero input, which has no basis.
     """
     a = as_matrix(a)
     if min(a.shape) == 0:
@@ -72,7 +72,8 @@ def orthonormal_basis(a) -> np.ndarray:
     if sv[0] == 0.0:
         raise ValueError("cannot build a basis for the zero matrix")
     r = int(np.count_nonzero(sv > _rank_tolerance(a.shape, sv[0])))
-    return np.ascontiguousarray(u[:, :r])
+    basis = np.ascontiguousarray(u[:, :r])
+    return (basis, sv) if return_singular_values else basis
 
 
 @dataclass(frozen=True)
@@ -247,15 +248,17 @@ def apply_sketch_transpose(sketch: SketchMatrix, a) -> np.ndarray:
     return a[sketch.indices] * sketch.scales[:, None]
 
 
-def embedding_distortion(sketch: SketchMatrix, a) -> float:
-    """Measured subspace-embedding distortion of the sketch on span(a).
+def embedding_distortion(sketch: SketchMatrix, basis) -> float:
+    """Measured subspace-embedding distortion of the sketch on span(basis).
 
-    Computes the eigenvalues of (S^T U)^T (S^T U) for U an orthonormal basis
-    of a's column span and returns max(lambda_max - 1, 1 - lambda_min); 0
-    means a perfect isometry on the span.  A sketch with fewer columns than
-    the span dimension has distortion >= 1.
+    ``basis`` must have orthonormal columns (see orthonormal_basis).
+    Computes the eigenvalues of (S^T U)^T (S^T U) for U = basis and returns
+    max(lambda_max - 1, 1 - lambda_min); 0 means a perfect isometry on the
+    span, and S is a (1 +- eps) subspace embedding for it iff the result is
+    at most eps.  A sketch with fewer columns than the span dimension has
+    distortion >= 1.
     """
-    u = orthonormal_basis(a)
+    u = as_matrix(basis, "basis")
     t = apply_sketch_transpose(sketch, u)
     gram = t.T @ t
     w = np.linalg.eigvalsh(gram)
@@ -264,14 +267,3 @@ def embedding_distortion(sketch: SketchMatrix, a) -> float:
         lo = 0.0  # operator on the span is rank deficient
     hi = float(w[-1])
     return max(hi - 1.0, 1.0 - lo, 0.0)
-
-
-def check_subspace_embedding(sketch: SketchMatrix, a, eps: float) -> bool:
-    """True iff S is a (1 +- eps) subspace embedding for span(a).
-
-    Equivalent to all singular values of S^T U lying in
-    [sqrt(1 - eps), sqrt(1 + eps)].
-    """
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
-    return embedding_distortion(sketch, a) <= eps

@@ -6,6 +6,13 @@ sigma_e^2) noise, sigma_e < sigma_c.  A budget B buys d column samples plus
 s full sketched rows (n entries per row), and s is always floored from
 whatever is left after the columns.  Noise is regenerated per observation:
 sampling the same column or cell twice yields independent noise draws.
+
+noisyCUR's s sketched rows are read on the collapsed sketch
+(SketchMatrix.collapse): sample_rows_noisy reads each distinct sampled row
+u once, scaled by sqrt(w_u), with N(0, sigma_e^2) noise per entry.  That
+is the exact law of the scale-weighted sum of the s independent per-sample
+reads that the budget pays for (s * n entries); completion.NoisyCurDraw
+recovers those per-sample reads from it when cross-validation needs them.
 """
 
 import math
@@ -143,10 +150,6 @@ class ObservationSet:
         for i, j, _ in self.entry_samples:
             if not (0 <= i < m and 0 <= j < n):
                 raise ValueError(f"entry index ({i}, {j}) out of range")
-
-    def cost(self, model: TwoCostModel) -> float:
-        return (len(self.column_samples) * model.column_price
-                + len(self.entry_samples) * model.entry_price)
 
     def merged(self, other: "ObservationSet") -> "ObservationSet":
         if other.shape != self.shape:

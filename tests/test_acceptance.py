@@ -42,6 +42,8 @@ from noisycur.theory import (
     check_span_capture_bound,
 )
 
+pytestmark = pytest.mark.slow
+
 # Low-noise comparison sweep: 80x60 rank-4, entry noise 0.01 (variance),
 # column noise 0.05, alpha = 0.2, budget 2*m*r = 640 (13% of cells if
 # spent on entries alone).  All of that is the package default; only the

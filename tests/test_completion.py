@@ -23,7 +23,9 @@ from noisycur.linalg import (
     SketchMatrix,
     apply_sketch_transpose,
     embedding_distortion,
+    orthonormal_basis,
 )
+from noisycur.observe import sample_rows_noisy
 
 
 def ridge_by_gradient_descent(b, y, lam, tol=1e-10, max_iters=200_000):
@@ -199,17 +201,30 @@ class TestNoisyCurPipeline:
 
 
 def per_sample_solve(draw, lam):
-    """Reference: the s x d gathered design, then ridge_solve on it."""
+    """Reference: the s x d gathered design and the per-sample targets,
+    then ridge_solve on them."""
     design = apply_sketch_transpose(draw.sketch, draw.c_tilde)
-    gram = design.T @ design
-    x = ridge_solve(design, draw.targets, lam, gram=gram)
+    x = ridge_solve(design, draw.sample_targets, lam)
+    sv = np.linalg.svd(design, compute_uv=False)
+    d = design.shape[1]
     return {
         "estimate": draw.c_tilde @ x,
         "coefficients": x,
-        "sigma_d_sketched": math.sqrt(max(np.linalg.eigvalsh(gram)[0], 0.0)),
-        "sketch_distortion": (embedding_distortion(draw.sketch, draw.c_tilde)
-                              if np.any(draw.c_tilde) else 0.0),
+        "sigma_d_sketched": sv[d - 1] if d <= sv.size else 0.0,
+        "sketch_distortion": (
+            embedding_distortion(draw.sketch, orthonormal_basis(draw.c_tilde))
+            if np.any(draw.c_tilde) else 0.0),
     }
+
+
+def with_sketch(draw, a, sketch, rng):
+    """draw with its sketch and row reads replaced, taken as
+    draw_noisycur_samples takes them."""
+    collapsed, inverse = sketch.collapse()
+    return dataclasses.replace(
+        draw, sketch=sketch, collapsed=collapsed, inverse=inverse,
+        row_targets=sample_rows_noisy(a, collapsed, draw.sigma_e, rng),
+        noise_rng=rng)
 
 
 class TestCollapsedSolve:
@@ -230,11 +245,11 @@ class TestCollapsedSolve:
         np.testing.assert_allclose(rec.diagnostics["sketch_distortion"],
                                    ref["sketch_distortion"], rtol=1e-10)
         if sigma_d_is_zero:
-            # the smallest Gram eigenvalue is zero up to rounding on both
-            # paths; its square root is only a rounding error's
+            # the smallest singular value is zero up to rounding on both
+            # paths
             scale = np.linalg.norm(draw.design, 2)
-            assert rec.diagnostics["sigma_d_sketched"] <= 1e-6 * scale
-            assert ref["sigma_d_sketched"] <= 1e-6 * scale
+            assert rec.diagnostics["sigma_d_sketched"] <= 1e-12 * scale
+            assert ref["sigma_d_sketched"] <= 1e-12 * scale
         else:
             np.testing.assert_allclose(rec.diagnostics["sigma_d_sketched"],
                                        ref["sigma_d_sketched"], rtol=1e-10)
@@ -245,8 +260,7 @@ class TestCollapsedSolve:
         cfg = NoisyCurConfig(n_columns=5, n_rows=400, sigma_c=0.3,
                              sigma_e=0.1, ridge_lambda=0.5)
         draw = draw_noisycur_samples(a, cfg, np.random.default_rng(8))
-        collapsed, _ = draw.sketch.collapse()
-        assert collapsed.n_cols <= 12 < draw.sketch.n_cols
+        assert draw.collapsed.n_cols <= 12 < draw.sketch.n_cols
         self.check(draw, 0.5)
         self.check(draw, 0.0)
 
@@ -267,6 +281,7 @@ class TestCollapsedSolve:
         assert draw.basis_rank == 0
         rec = self.check(draw, 1.0, sigma_d_is_zero=True)
         assert rec.diagnostics["sketch_distortion"] == 0.0
+        assert rec.diagnostics["sigma_d_c_tilde"] == 0.0
         assert not rec.estimate.any()
         self.check(draw, 0.0, sigma_d_is_zero=True)
 
@@ -280,16 +295,14 @@ class TestCollapsedSolve:
         rows = np.repeat(np.arange(5), 2)
         sketch = SketchMatrix(n_rows=12, indices=rows,
                               scales=np.linspace(0.8, 1.7, 10))
-        rng = np.random.default_rng(3)
-        draw = dataclasses.replace(
-            draw, sketch=sketch,
-            targets=apply_sketch_transpose(sketch, a)
-            + 0.1 * rng.standard_normal((10, 10)))
+        draw = with_sketch(draw, a, sketch, np.random.default_rng(3))
         rec = self.check(draw, 0.2, sigma_d_is_zero=True)
+        assert rec.diagnostics["sigma_d_sketched"] == 0.0
         assert rec.diagnostics["sketch_distortion"] >= 1.0
 
     def test_design_is_built_on_demand(self):
-        assert "design" not in {f.name for f in dataclasses.fields(NoisyCurDraw)}
+        fields = {f.name for f in dataclasses.fields(NoisyCurDraw)}
+        assert not {"design", "sample_targets"} & fields
         a = synthetic_lowrank(10, 8, 2, rng=np.random.default_rng(9))
         cfg = NoisyCurConfig(n_columns=3, n_rows=7, sigma_c=0.2,
                              sigma_e=0.1, ridge_lambda=1.0)
@@ -297,6 +310,65 @@ class TestCollapsedSolve:
         np.testing.assert_array_equal(
             draw.design, apply_sketch_transpose(draw.sketch, draw.c_tilde))
         assert draw.design.shape == (7, 3)
+        assert draw.sample_targets.shape == (7, 8)
+        assert draw.sample_targets is draw.sample_targets
+
+    def test_reading_sample_targets_leaves_the_solve_alone(self):
+        a = synthetic_lowrank(10, 8, 2, rng=np.random.default_rng(9))
+        cfg = NoisyCurConfig(n_columns=3, n_rows=30, sigma_c=0.2,
+                             sigma_e=0.1, ridge_lambda=1.0)
+        read, unread = (draw_noisycur_samples(a, cfg, np.random.default_rng(4))
+                        for _ in range(2))
+        read.sample_targets
+        np.testing.assert_array_equal(solve_from_draw(read, 1.0).estimate,
+                                      solve_from_draw(unread, 1.0).estimate)
+
+
+class TestPerSampleTargets:
+    """The per-sample reads drawn from the per-row ones by conditioning."""
+
+    @staticmethod
+    def weights(sketch):
+        """c_j = scale_j / sqrt(w_u), straight from the sketch's scales."""
+        w = np.zeros(sketch.n_rows)
+        for i, scale in zip(sketch.indices, sketch.scales):
+            w[i] += scale * scale
+        return sketch.scales / np.sqrt(w[sketch.indices])
+
+    def draw(self, sigma_e, n_cols=10, seed=8):
+        a = synthetic_lowrank(12, n_cols, 3, rng=np.random.default_rng(5))
+        cfg = NoisyCurConfig(n_columns=5, n_rows=400, sigma_c=0.3,
+                             sigma_e=sigma_e, ridge_lambda=0.5)
+        return a, draw_noisycur_samples(a, cfg, np.random.default_rng(seed))
+
+    def test_collapse_returns_row_targets(self):
+        _, draw = self.draw(0.1)
+        c = self.weights(draw.sketch)
+        collapsed = np.zeros_like(draw.row_targets)
+        for j, u in enumerate(draw.inverse):
+            collapsed[u] += c[j] * draw.sample_targets[j]
+        np.testing.assert_allclose(collapsed, draw.row_targets, rtol=0,
+                                   atol=1e-12)
+
+    def test_noiseless_reads_are_sketched_rows(self):
+        a, draw = self.draw(0.0)
+        np.testing.assert_allclose(draw.sample_targets,
+                                   apply_sketch_transpose(draw.sketch, a),
+                                   rtol=1e-12, atol=0)
+
+    def test_residuals_are_independent_reads(self):
+        # row 0 sampled three times and row 1 twice, with unequal scales;
+        # row 2 once.  Each residual entry must be N(0, sigma_e^2), and two
+        # samples of one row uncorrelated, over 20000 i.i.d. columns.
+        a, draw = self.draw(0.3, n_cols=20_000)
+        sketch = SketchMatrix(n_rows=12, indices=np.array([0, 0, 0, 1, 1, 2]),
+                              scales=np.array([0.5, 1.0, 2.0, 0.7, 1.3, 1.0]))
+        draw = with_sketch(draw, a, sketch, np.random.default_rng(11))
+        residual = draw.sample_targets - apply_sketch_transpose(sketch, a)
+        np.testing.assert_allclose(residual.var(axis=1), 0.09, rtol=0.05)
+        corr = np.corrcoef(residual)
+        for j, k in ((0, 1), (0, 2), (1, 2), (3, 4)):
+            assert abs(corr[j, k]) < 0.03, (j, k)
 
 
 class TestGuaranteeSampleSizes:

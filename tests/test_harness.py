@@ -1,5 +1,6 @@
 """Sweep harness: config resolution, budget-priced drivers, CSV output."""
 
+import dataclasses
 import json
 import math
 
@@ -233,6 +234,15 @@ class TestRunSingleCell:
         n = self.a.shape[1]
         expected = (4 * self.model.column_price
                     + row["s"] * n * self.model.entry_price)
+        assert row["spent"] == pytest.approx(expected, rel=1e-12)
+        # six rows and a budget for 21 sketched rows: the sketch repeats
+        # rows, and each repeat is still charged its n entries
+        model = dataclasses.replace(self.model, budget=400.0)
+        row = run_single_cell(self.a[:6], model, "ncur", 2, seed=11,
+                              hyper=self.cfg.hyper["ncur"])
+        assert row["s"] == 21
+        expected = (2 * model.column_price
+                    + row["s"] * n * model.entry_price)
         assert row["spent"] == pytest.approx(expected, rel=1e-12)
 
     def test_rerun_bit_exact(self):

@@ -9,7 +9,6 @@ from noisycur.linalg import (
     SketchMatrix,
     apply_sketch_transpose,
     build_sketch,
-    check_subspace_embedding,
     column_leverage_and_coherence,
     embedding_distortion,
     numerical_rank,
@@ -48,6 +47,12 @@ class TestOrthonormalBasis:
         assert np.linalg.norm(resid) < 1e-8
         # cross-check the projector against the independent SVD route
         np.testing.assert_allclose(u @ u.T, svd_projector(m), atol=1e-10)
+        # the same SVD's singular values, all of them, not only the kept
+        basis, sv = orthonormal_basis(m, return_singular_values=True)
+        np.testing.assert_array_equal(basis, u)
+        np.testing.assert_allclose(sv, np.linalg.svd(m, compute_uv=False),
+                                   atol=1e-12)
+        assert sv.size == 2
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -217,16 +222,15 @@ class TestEmbeddingCheck:
         m = 5
         sk = SketchMatrix(n_rows=m, indices=np.arange(m),
                           scales=np.ones(m))
-        a = np.random.default_rng(1).standard_normal((m, 3))
-        assert check_subspace_embedding(sk, a, eps=1e-6)
+        u = orthonormal_basis(np.random.default_rng(1).standard_normal((m, 3)))
+        assert embedding_distortion(sk, u) <= 1e-6
 
     def test_rank_deficient_sketch_fails(self):
         rng = np.random.default_rng(2)
-        a = rng.standard_normal((6, 2))
+        u = orthonormal_basis(rng.standard_normal((6, 2)))
         sk = SketchMatrix(n_rows=6, indices=np.array([0]),
                           scales=np.array([1.0]))
-        assert not check_subspace_embedding(sk, a, eps=0.5)
-        assert embedding_distortion(sk, a) >= 1.0
+        assert embedding_distortion(sk, u) >= 1.0
 
     def test_monte_carlo_success_rate(self):
         # at the guarantee sketch size for eps=0.5, delta=0.1 the failure
@@ -239,7 +243,7 @@ class TestEmbeddingCheck:
         prof = shrinked_row_scores(u)
         s = embedding_sketch_size(r, eps=0.5, delta=0.1)
         hits = sum(
-            check_subspace_embedding(build_sketch(prof, s, rng), u, 0.5)
+            embedding_distortion(build_sketch(prof, s, rng), u) <= 0.5
             for _ in range(100))
         assert hits >= 90
 

@@ -207,13 +207,6 @@ class TestObservationSet:
         with pytest.raises(ValueError):
             ObservationSet(shape=(2, 2), column_samples=[(3, np.zeros(2))])
 
-    def test_cost(self):
-        obs = ObservationSet(shape=(4, 6),
-                             column_samples=[(0, np.zeros(4)), (2, np.zeros(4))],
-                             entry_samples=[(1, 1, 0.5)] * 7)
-        model = model_with(100.0)
-        assert obs.cost(model) == pytest.approx(2 * 4.0 + 7 * 1.0)
-
     def test_merged(self):
         a = ObservationSet(shape=(3, 3), entry_samples=[(0, 0, 1.0)])
         b = ObservationSet(shape=(3, 3), column_samples=[(1, np.zeros(3))])

@@ -207,7 +207,7 @@ class TestRidgeResolventBound:
         a = u @ np.diag([1.0, math.sqrt(376.0)])
         sketch = SketchMatrix(2, np.array([0, 1]),
                               np.sqrt(np.array([1.5, 0.5])))
-        eps = embedding_distortion(sketch, a)
+        eps = embedding_distortion(sketch, u)  # span(a) = span(u) = R^2
         assert eps == pytest.approx(0.5, abs=1e-12)
         lam, sigma_sq = 27.5, 1.0
         ratio = worst_ratio(a, sketch, lam)
