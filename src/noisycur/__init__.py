@@ -25,7 +25,6 @@ from .observe import (
     plan_split,
     sample_columns,
     sample_entries,
-    sample_rows_entrywise,
     sample_rows_noisy,
     snr,
 )
@@ -43,7 +42,6 @@ from .baselines import (
     PartialMatrix,
     curplus,
     nna,
-    nns,
     svt,
 )
 from .datasets import (

@@ -1,10 +1,9 @@
 """Completion baselines: nuclear-norm solvers, CUR+, and two-phase entry sampling.
 
-All the nuclear-norm variants minimize ||Z||_* subject to Frobenius balls
-around the observed entries, solved by ADMM with a singular-value
-thresholding step.  The two constraint supports (noisy column cells, accurate
-entry cells) are disjoint, so projecting onto the intersection splits into
-independent ball projections per support.
+The nuclear-norm solver minimizes ||Z||_* subject to one Frobenius ball
+around the observed entries, by ADMM with a singular-value thresholding
+step on Z and a projection onto the ball on the splitting variable.  Every
+baseline reads entry observations only, aggregated into a PartialMatrix.
 
 The ADMM penalty rho starts at AdmmSettings.rho and is balanced against the
 residuals as the solve runs (Boyd et al. 2011, section 3.4.1: mu = 10,
@@ -15,7 +14,7 @@ one radius to the next (Mazumder, Hastie & Tibshirani 2010).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,98 +28,63 @@ __all__ = [
     "CurPlusFit",
     "svt",
     "nna",
-    "nns",
     "curplus",
     "chen_observe",
 ]
 
-ENTRY_MODE = "entry"
-COLUMN_MODE = "column"
-
 
 class PartialMatrix:
-    """Aggregated view of repeated noisy observations of some cells.
+    """Mean observation of each observed cell.
 
-    Each observed cell keeps the mean of all its observations plus a
-    provenance tag: a cell is entry-mode as soon as any observation of it
-    came from the accurate entry channel, otherwise column-mode.  The two
-    mode index sets are therefore always disjoint.
+    Built from raw (rows, cols, values) observations, repeats allowed.
+    rows and cols hold the distinct observed cells in row-major sorted
+    order, and values the mean of each cell's observations, whose sum runs
+    in input order.
     """
 
-    def __init__(self, shape):
+    def __init__(self, shape, rows=(), cols=(), values=()):
         m, n = int(shape[0]), int(shape[1])
         if m < 1 or n < 1:
             raise ValueError("shape must be positive")
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        cols = np.asarray(cols, dtype=np.int64).reshape(-1)
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        if not rows.size == cols.size == values.size:
+            raise ValueError("rows, cols and values differ in length")
+        if ((rows < 0) | (rows >= m) | (cols < 0) | (cols >= n)).any():
+            raise ValueError(f"observed cell out of range for shape {(m, n)}")
+        if not np.isfinite(values).all():
+            raise ValueError("observed values must be finite")
+        cells, inverse = np.unique(rows * n + cols, return_inverse=True)
         self.shape = (m, n)
-        self._cells = {}  # (i, j) -> [value_sum, count, entry_count]
+        self.rows, self.cols = np.divmod(cells, n)
+        self.values = (np.bincount(inverse, values, cells.size)
+                       / np.bincount(inverse, minlength=cells.size))
 
     @classmethod
     def from_observations(cls, obs: ObservationSet) -> "PartialMatrix":
-        pm = cls(obs.shape)
-        for j, col in obs.column_samples:
-            for i, v in enumerate(col):
-                pm.add(i, j, float(v), COLUMN_MODE)
-        for i, j, v in obs.entry_samples:
-            pm.add(i, j, v, ENTRY_MODE)
-        return pm
-
-    def add(self, i: int, j: int, value: float, mode: str):
-        m, n = self.shape
-        if not (0 <= i < m and 0 <= j < n):
-            raise ValueError(f"cell ({i}, {j}) out of range for shape {self.shape}")
-        if mode not in (ENTRY_MODE, COLUMN_MODE):
-            raise ValueError(f"unknown observation mode {mode!r}")
-        if not math.isfinite(value):
-            raise ValueError("observed value must be finite")
-        slot = self._cells.setdefault((i, j), [0.0, 0, 0])
-        slot[0] += value
-        slot[1] += 1
-        if mode == ENTRY_MODE:
-            slot[2] += 1
+        samples = obs.entry_samples
+        return cls(obs.shape, samples["row"], samples["col"], samples["value"])
 
     @property
     def n_cells(self) -> int:
-        return len(self._cells)
-
-    def cells(self):
-        """Observed cells in deterministic (row, col) order."""
-        return sorted(self._cells)
-
-    def value(self, i: int, j: int) -> float:
-        total, count, _ = self._cells[(i, j)]
-        return total / count
-
-    def mode(self, i: int, j: int) -> str:
-        return ENTRY_MODE if self._cells[(i, j)][2] > 0 else COLUMN_MODE
-
-    def indices(self, mode: str | None = None):
-        """(rows, cols) arrays of observed cells, optionally one mode only."""
-        keys = [k for k in self.cells() if mode is None or self.mode(*k) == mode]
-        if not keys:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        arr = np.asarray(keys, dtype=np.int64)
-        return arr[:, 0], arr[:, 1]
+        return self.rows.size
 
     def dense_fill(self, fill: float = 0.0) -> np.ndarray:
         out = np.full(self.shape, float(fill))
-        for (i, j), (total, count, _) in self._cells.items():
-            out[i, j] = total / count
+        out[self.rows, self.cols] = self.values
         return out
 
     def mask(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=bool)
-        for i, j in self._cells:
-            out[i, j] = True
+        out[self.rows, self.cols] = True
         return out
 
-    def subset(self, keys) -> "PartialMatrix":
-        """New PartialMatrix restricted to the given cells (aggregates copied)."""
-        pm = PartialMatrix(self.shape)
-        for key in keys:
-            if key not in self._cells:
-                raise KeyError(f"cell {key} is not observed")
-            pm._cells[key] = list(self._cells[key])
-        return pm
+    def subset(self, positions) -> "PartialMatrix":
+        """New PartialMatrix of the cells at the given positions of the cell
+        arrays, their means kept."""
+        return PartialMatrix(self.shape, self.rows[positions],
+                             self.cols[positions], self.values[positions])
 
 
 def svt(a, tau: float) -> np.ndarray:
@@ -168,28 +132,21 @@ class AdmmResult:
     rho: float  # penalty after the last balancing step
 
 
-def _project_balls(v, target, constraints):
-    """Project v onto the intersection of per-support Frobenius balls.
-
-    constraints is a list of ((rows, cols), radius); the supports must be
-    disjoint, which makes the joint projection separable.  Cells outside
-    every support are unconstrained.
-    """
+def _project_ball(v, target, rows, cols, radius):
+    """Project v onto {W : ||P_omega(W - target)||_F <= radius}, omega the
+    cells (rows, cols); cells outside omega are unconstrained."""
     w = v.copy()
-    for (rows, cols), radius in constraints:
-        if rows.size == 0:
-            continue
-        diff = v[rows, cols] - target[rows, cols]
-        norm = math.sqrt(float(np.sum(diff * diff)))
-        if norm > radius:
-            scale = radius / norm if norm > 0 else 0.0
-            w[rows, cols] = target[rows, cols] + scale * diff
+    diff = v[rows, cols] - target[rows, cols]
+    norm = math.sqrt(float(np.sum(diff * diff)))
+    if norm > radius:
+        w[rows, cols] = target[rows, cols] + radius / norm * diff
     return w
 
 
-def _admm_nuclear(target, constraints, settings: AdmmSettings,
+def _admm_nuclear(target, rows, cols, radius: float, settings: AdmmSettings,
                   start: AdmmResult | None = None) -> AdmmResult:
-    """min ||Z||_* s.t. ||P_omega_k(Z - target)||_F <= radius_k for each k.
+    """min ||Z||_* s.t. ||P_omega(Z - target)||_F <= radius, omega the cells
+    (rows, cols).
 
     Scaled two-block ADMM: a singular value thresholding step on Z, a ball
     projection step on the splitting variable W, and a dual update.  Boyd-
@@ -205,8 +162,8 @@ def _admm_nuclear(target, constraints, settings: AdmmSettings,
     ``start`` warm-starts the solve from an earlier result, typically the
     previous radius on a regularisation path (Mazumder, Hastie &
     Tibshirani 2010): W, U and rho are taken from it, and Z is recomputed
-    from W - U in the first step.  The constraints need not match the
-    earlier solve's.
+    from W - U in the first step.  The ball need not match the earlier
+    solve's.
 
     The reported objective is ||Z||_* + (rho/2) ||Z - W||_F^2, evaluated
     once at the last iterate with the final rho.
@@ -227,7 +184,7 @@ def _admm_nuclear(target, constraints, settings: AdmmSettings,
     for it in range(1, settings.max_iters + 1):
         z = svt(w - u, 1.0 / rho)
         w_prev = w
-        w = _project_balls(z + u, target, constraints)
+        w = _project_ball(z + u, target, rows, cols, radius)
         u = u + z - w
 
         gap = z - w
@@ -266,44 +223,16 @@ def nna(obs: PartialMatrix, delta: float,
     """Nuclear-norm completion with all observations in a single ball.
 
     min ||Z||_* s.t. ||P_omega(Z - observed)||_F <= delta, over every
-    observed cell regardless of mode.  ``start`` warm-starts the solver
-    from an earlier result (see _admm_nuclear).
+    observed cell.  ``start`` warm-starts the solver from an earlier result
+    (see _admm_nuclear).
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     if obs.n_cells == 0:
         raise ValueError("no observed cells")
     settings = settings or AdmmSettings()
-    target = obs.dense_fill(0.0)
-    rows, cols = obs.indices()
-    return _admm_nuclear(target, [((rows, cols), float(delta))], settings,
-                         start)
-
-
-def nns(obs: PartialMatrix, c1: float, c2: float, d: int,
-        sigma_c: float, sigma_e: float,
-        settings: AdmmSettings | None = None) -> AdmmResult:
-    """Nuclear-norm completion with split constraints per observation mode.
-
-    The column-mode cells sit in a ball of squared radius c1 * d * m *
-    sigma_c^2 (d column samples of length m each), the entry-mode cells in
-    one of squared radius c2 * f * sigma_e^2 with f the number of distinct
-    entry-mode cells.
-    """
-    if c1 < 0 or c2 < 0:
-        raise ValueError("constraint constants must be nonnegative")
-    if obs.n_cells == 0:
-        raise ValueError("no observed cells")
-    settings = settings or AdmmSettings()
-    m = obs.shape[0]
-    target = obs.dense_fill(0.0)
-    rows_c, cols_c = obs.indices(COLUMN_MODE)
-    rows_e, cols_e = obs.indices(ENTRY_MODE)
-    f = rows_e.size
-    radius_c = math.sqrt(c1 * d * m * sigma_c**2)
-    radius_e = math.sqrt(c2 * f * sigma_e**2)
-    constraints = [((rows_c, cols_c), radius_c), ((rows_e, cols_e), radius_e)]
-    return _admm_nuclear(target, constraints, settings)
+    return _admm_nuclear(obs.dense_fill(0.0), obs.rows, obs.cols,
+                         float(delta), settings, start)
 
 
 @dataclass
@@ -331,13 +260,10 @@ def curplus(c_cols, r_rows, obs: PartialMatrix) -> CurPlusFit:
         raise ValueError("column/row factors do not match the observation shape")
     d1, d2 = c.shape[1], r.shape[0]
 
-    keys = obs.cells()
-    design = np.empty((len(keys), d1 * d2))
-    rhs = np.empty(len(keys))
-    for k, (i, j) in enumerate(keys):
-        design[k] = np.outer(c[i], r[:, j]).ravel()
-        rhs[k] = obs.value(i, j)
-    core_flat = np.linalg.lstsq(design, rhs, rcond=None)[0]
+    # Row k is vec(outer(c[i], r[:, j])) for the k-th observed cell (i, j).
+    design = (c[obs.rows][:, :, None] * r[:, obs.cols].T[:, None, :]
+              ).reshape(obs.n_cells, d1 * d2)
+    core_flat = np.linalg.lstsq(design, obs.values, rcond=None)[0]
     core = core_flat.reshape(d1, d2)
     return CurPlusFit(estimate=c @ core @ r, middle=core)
 
@@ -352,15 +278,14 @@ def chen_observe(a, model: TwoCostModel, phase1_fraction: float,
     the remaining budget on entries drawn from the product distribution
     q_ij proportional to row_lev_i * col_lev_j.
 
-    Returns (observations, info) where info records both phases and the
-    estimated scores.
+    Returns (observations, info): the merged record, phase 1 first, and
+    info with both phase counts and the estimated scores.
     """
     a = as_matrix(a)
     if not 0 < phase1_fraction < 1:
         raise ValueError("phase1_fraction must be in (0, 1)")
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    m, n = a.shape
     n1 = int(math.floor(phase1_fraction * model.budget / model.entry_price))
     if n1 < 1:
         raise ValueError("budget too small for phase 1")
@@ -377,16 +302,13 @@ def chen_observe(a, model: TwoCostModel, phase1_fraction: float,
 
     n2 = int(math.floor((model.budget - n1 * model.entry_price)
                         / model.entry_price))
-    phase2 = None
     obs = phase1
     if n2 >= 1:
-        phase2 = sample_entries(a, n2, model.sigma_e, rng, weights=weights)
-        obs = phase1.merged(phase2)
+        obs = phase1.merged(
+            sample_entries(a, n2, model.sigma_e, rng, weights=weights))
     info = {
         "phase1_count": n1,
-        "phase2_count": n2 if phase2 is not None else 0,
-        "phase2_cells": [] if phase2 is None else
-            [(i, j) for i, j, _ in phase2.entry_samples],
+        "phase2_count": len(obs.entry_samples) - n1,
         "row_leverage": row_lev,
         "col_leverage": col_lev,
         "rank_used": k,

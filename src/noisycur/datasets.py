@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import ENTRY_MODE, PartialMatrix
+from .baselines import PartialMatrix
 from .linalg import as_matrix
 
 __all__ = [
@@ -169,10 +169,9 @@ def load_movielens_100k(path) -> PartialMatrix:
     if dupes:
         warnings.warn(f"{path}: {dupes} duplicate (user, item) pairs, kept last",
                       stacklevel=2)
-    pm = PartialMatrix((MOVIELENS_N_ITEMS, MOVIELENS_N_USERS))
-    for (i, j), rating in last.items():
-        pm.add(i, j, rating, ENTRY_MODE)
-    return pm
+    cells = np.array(list(last), dtype=np.int64).reshape(-1, 2)
+    return PartialMatrix((MOVIELENS_N_ITEMS, MOVIELENS_N_USERS),
+                         cells[:, 0], cells[:, 1], list(last.values()))
 
 
 def iterative_svd_complete(obs: PartialMatrix, rank: int,

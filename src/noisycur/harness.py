@@ -16,8 +16,10 @@ exclude).
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import math
+import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -26,15 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .baselines import (
-    COLUMN_MODE,
-    AdmmSettings,
-    PartialMatrix,
-    chen_observe,
-    curplus,
-    nna,
-    nns,
-)
+from .baselines import AdmmSettings, PartialMatrix, chen_observe, curplus, nna
 from .completion import (
     NoisyCurConfig,
     cross_validate_lambda,
@@ -52,12 +46,10 @@ from .linalg import as_matrix
 from .observe import (
     BudgetLedger,
     InfeasiblePlanError,
-    ObservationSet,
     TwoCostModel,
     plan_split,
     sample_columns,
     sample_entries,
-    sample_rows_entrywise,
 )
 from .rng import cell_seed
 
@@ -82,6 +74,35 @@ __all__ = [
     "D_INDEPENDENT",
     "CSV_COLUMNS",
 ]
+
+
+# glibc's malloc serves an allocation above its mmap threshold from a fresh
+# mapping and a smaller one from its heap.  Left to itself, it raises that
+# threshold, and the heap's trim threshold with it, to the size of each
+# mapped chunk it frees.  Sweep cells allocate arrays of data-dependent
+# size, from a few MB to tens of MB, so with sliding thresholds the free
+# heap that stays resident, and with it a sweep's peak memory, depends on
+# the sizes of the cells that ran before.  Both are fixed at the sliding
+# threshold's cap and twice that (the ratio glibc keeps), so that peak
+# memory depends on the cell grid alone.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_MMAP_THRESHOLD = 32 << 20
+_MALLOC_TRIM_THRESHOLD = 64 << 20
+
+
+def _fix_malloc_thresholds() -> bool:
+    """Fix glibc's mmap and trim thresholds; False where there is no glibc."""
+    if not sys.platform.startswith("linux"):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MALLOC_MMAP_THRESHOLD)
+                and mallopt(_M_TRIM_THRESHOLD, _MALLOC_TRIM_THRESHOLD))
+
+
+_fix_malloc_thresholds()
 
 
 class ConfigError(ValueError):
@@ -133,14 +154,6 @@ DEFAULT_HYPER = {
     "curplus": {},
     "nna": {
         "delta_factors": {"lo": 1e-2, "hi": 1e2, "num": 20},
-        "tol": 1e-6,
-        "max_iters": 2000,
-        "cv_tol": 1e-5,
-        "cv_max_iters": 800,
-    },
-    "nns": {
-        "c1_factors": {"lo": 1e-1, "hi": 1e1, "num": 7},
-        "c2_factors": {"lo": 1e-1, "hi": 1e1, "num": 7},
         "tol": 1e-6,
         "max_iters": 2000,
         "cv_tol": 1e-5,
@@ -485,20 +498,18 @@ def _admm_settings(hyper: dict, cv: bool) -> AdmmSettings:
 
 def _holdout_split(pm: PartialMatrix, rng: np.random.Generator,
                    held_fraction: float = 0.2):
-    """Split observed cells into (train PartialMatrix, held-out keys)."""
-    keys = pm.cells()
-    n_held = int(math.floor(held_fraction * len(keys)))
-    if n_held < 1 or len(keys) - n_held < 1:
+    """Split observed cells into (train PartialMatrix, held-out positions
+    in pm's cell arrays)."""
+    n_held = int(math.floor(held_fraction * pm.n_cells))
+    if n_held < 1 or pm.n_cells - n_held < 1:
         return None, None
-    order = rng.permutation(len(keys))
-    held = [keys[i] for i in order[:n_held]]
-    train = pm.subset([keys[i] for i in order[n_held:]])
-    return train, held
+    order = rng.permutation(pm.n_cells)
+    return pm.subset(order[n_held:]), order[:n_held]
 
 
-def _holdout_sse(estimate: np.ndarray, pm: PartialMatrix, keys) -> float:
-    return float(sum((estimate[i, j] - pm.value(i, j)) ** 2
-                     for i, j in keys))
+def _holdout_sse(estimate: np.ndarray, pm: PartialMatrix, held) -> float:
+    diff = estimate[pm.rows[held], pm.cols[held]] - pm.values[held]
+    return float(np.sum(diff * diff))
 
 
 def _cv_entry_delta(pm: PartialMatrix, sigma_e: float, factors,
@@ -643,75 +654,6 @@ def _run_nna(a, model: TwoCostModel, d: int, rng: np.random.Generator,
     )
 
 
-def _cv_nns(pm: PartialMatrix, model: TwoCostModel, d: int, hyper: dict,
-            rng: np.random.Generator):
-    """Coordinate-wise holdout search for the two ball constants.
-
-    Searches the entry-ball factor first at the natural column factor 1,
-    then the column-ball factor at the chosen entry factor.  The column
-    radius is rescaled by the fraction of column cells kept in the train
-    split (the entry radius tracks its own cell count automatically).
-    """
-    c1_factors = tuple(hyper["c1_factors"])
-    c2_factors = tuple(hyper["c2_factors"])
-    if len(c1_factors) == 1 and len(c2_factors) == 1:
-        return c1_factors[0], c2_factors[0]
-    train, held = _holdout_split(pm, rng)
-    if train is None:
-        return 1.0, 1.0
-    settings = _admm_settings(hyper, cv=True)
-    full_col = pm.indices(COLUMN_MODE)[0].size
-    train_col = train.indices(COLUMN_MODE)[0].size
-    col_scale = train_col / full_col if full_col else 1.0
-
-    def score(c1: float, c2: float) -> float:
-        fit = nns(train, c1 * col_scale, c2, d, model.sigma_c,
-                  model.sigma_e, settings)
-        return _holdout_sse(fit.matrix, pm, held)
-
-    c2_scores = [score(1.0, f) for f in c2_factors]
-    c2 = c2_factors[int(np.argmin(c2_scores))]
-    c1_scores = [score(f, c2) for f in c1_factors]
-    c1 = c1_factors[int(np.argmin(c1_scores))]
-    return float(c1), float(c2)
-
-
-def _run_nns(a, model: TwoCostModel, d: int, rng: np.random.Generator,
-             hyper: dict) -> _CellOutcome:
-    m, n = a.shape
-    col_cost = d * model.column_price
-    if col_cost > model.budget + 1e-9:
-        raise InfeasiblePlanError(
-            f"{d} column samples cost {col_cost}, budget {model.budget}")
-    s_rows = int(math.floor((model.budget - col_cost)
-                            / (n * model.entry_price) + 1e-12))
-    c_tilde, col_idx = sample_columns(a, d, model.sigma_c, rng)
-    obs = ObservationSet(
-        shape=(m, n),
-        column_samples=[(int(j), c_tilde[:, k].copy())
-                        for k, j in enumerate(col_idx)],
-    )
-    row_entry_count = 0
-    if s_rows >= 1:
-        row_obs = sample_rows_entrywise(a, s_rows, model.sigma_e, rng)
-        row_entry_count = len(row_obs.entry_samples)
-        obs = obs.merged(row_obs)
-    pm = PartialMatrix.from_observations(obs)
-    c1, c2 = _cv_nns(pm, model, d, hyper, rng)
-    fit = nns(pm, c1, c2, d, model.sigma_c, model.sigma_e,
-              _admm_settings(hyper, cv=False))
-
-    ledger = BudgetLedger(model.budget)
-    ledger.charge("column", len(obs.column_samples), model.column_price)
-    ledger.charge("entry", row_entry_count, model.entry_price)
-    return _CellOutcome(
-        estimate=fit.matrix, n_sketch_rows=s_rows, ledger=ledger,
-        hyperparams={"c1": c1, "c2": c2, "n_col_samples": d,
-                     "n_row_samples": s_rows,
-                     "admm_iterations": fit.iterations},
-    )
-
-
 def _run_chen(a, model: TwoCostModel, d: int, rng: np.random.Generator,
               hyper: dict) -> _CellOutcome:
     rank = hyper["rank"]
@@ -738,7 +680,6 @@ _DRIVERS = {
     "ncur": _run_ncur,
     "curplus": _run_curplus,
     "nna": _run_nna,
-    "nns": _run_nns,
     "chen": _run_chen,
 }
 

@@ -32,7 +32,6 @@ __all__ = [
     "sample_columns",
     "sample_rows_noisy",
     "sample_entries",
-    "sample_rows_entrywise",
     "snr",
 ]
 
@@ -125,39 +124,43 @@ def plan_split(model: TwoCostModel, n_cols: int, d: int) -> SamplingPlan:
                         leftover=model.budget - spent)
 
 
+ENTRY_DTYPE = np.dtype([("row", np.int64), ("col", np.int64),
+                        ("value", np.float64)])
+
+
 @dataclass
 class ObservationSet:
-    """Raw ledger of noisy samples taken from a matrix.
+    """Raw record of noisy entry samples taken from a matrix.
 
-    column_samples holds (column index, noisy m-vector) pairs; entry_samples
-    holds (row, col, noisy value) triples.  Repeated indices are legal and
-    keep their independent noise.
+    entry_samples is a structured array of (row, col, value) records, one
+    per sample in sampling order, with fields "row", "col" and "value"; a
+    list of such triples is converted.  Repeated cells are legal and keep
+    their independent noise.
     """
 
     shape: tuple
-    column_samples: list = field(default_factory=list)
-    entry_samples: list = field(default_factory=list)
+    entry_samples: np.ndarray = field(
+        default_factory=lambda: np.empty(0, ENTRY_DTYPE))
 
     def __post_init__(self):
         m, n = self.shape
         if m < 1 or n < 1:
             raise ValueError("shape must be positive")
-        for j, col in self.column_samples:
-            if not 0 <= j < n:
-                raise ValueError(f"column index {j} out of range")
-            if len(col) != m:
-                raise ValueError("column sample has wrong length")
-        for i, j, _ in self.entry_samples:
-            if not (0 <= i < m and 0 <= j < n):
-                raise ValueError(f"entry index ({i}, {j}) out of range")
+        self.entry_samples = np.asarray(self.entry_samples, dtype=ENTRY_DTYPE)
+        rows, cols = self.entry_samples["row"], self.entry_samples["col"]
+        bad = (rows < 0) | (rows >= m) | (cols < 0) | (cols >= n)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"entry index ({rows[k]}, {cols[k]}) out of range")
 
     def merged(self, other: "ObservationSet") -> "ObservationSet":
+        """Both records in one, this one's samples first."""
         if other.shape != self.shape:
             raise ValueError("cannot merge observation sets of different shapes")
         return ObservationSet(
             shape=self.shape,
-            column_samples=self.column_samples + other.column_samples,
-            entry_samples=self.entry_samples + other.entry_samples,
+            entry_samples=np.concatenate([self.entry_samples,
+                                          other.entry_samples]),
         )
 
 
@@ -251,30 +254,8 @@ def sample_entries(a, count: int, sigma_e: float, rng: np.random.Generator,
     values = a[rows, cols]
     if sigma_e > 0:
         values = values + sigma_e * rng.standard_normal(values.shape)
-    samples = [(int(i), int(j), float(v)) for i, j, v in zip(rows, cols, values)]
-    return ObservationSet(shape=(m, n), entry_samples=samples)
-
-
-def sample_rows_entrywise(a, s: int, sigma_e: float,
-                          rng: np.random.Generator) -> ObservationSet:
-    """s uniformly chosen rows (with replacement), every cell read at entry precision.
-
-    Costs s * n entry observations; used by baselines that buy whole accurate
-    rows instead of sketching.
-    """
-    a = as_matrix(a)
-    if s < 1:
-        raise ValueError("need s >= 1")
-    if sigma_e < 0:
-        raise ValueError("sigma_e must be nonnegative")
-    m, n = a.shape
-    rows = rng.integers(0, m, size=int(s))
-    samples = []
-    for i in rows:
-        vals = a[i].copy()
-        if sigma_e > 0:
-            vals += sigma_e * rng.standard_normal(n)
-        samples.extend((int(i), int(j), float(v)) for j, v in enumerate(vals))
+    samples = np.empty(rows.size, ENTRY_DTYPE)
+    samples["row"], samples["col"], samples["value"] = rows, cols, values
     return ObservationSet(shape=(m, n), entry_samples=samples)
 
 

@@ -1,8 +1,14 @@
 """Shared fixtures."""
 
 import dataclasses
+import os
 
-import pytest
+# One BLAS thread for the whole test run, set before numpy is first
+# imported: on a small host the default thread count makes the BLAS-heavy
+# acceptance runs several times slower.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
 
 import noisycur.theory as theory
 

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from noisycur.baselines import ENTRY_MODE, PartialMatrix
+from noisycur.baselines import PartialMatrix
 from noisycur.cli import main
 from noisycur.completion import NoisyCurConfig, noisycur, ridge_solve
 from noisycur.datasets import (
@@ -359,9 +359,8 @@ def test_iterative_svd_monotone(jester_file):
     a = load_jester(jester_file)[:500]
     rng = np.random.default_rng(3)
     mask = rng.random(a.shape) < 0.7
-    pm = PartialMatrix(a.shape)
-    for i, j in zip(*np.nonzero(mask)):
-        pm.add(int(i), int(j), float(a[i, j]), ENTRY_MODE)
+    rows, cols = np.nonzero(mask)
+    pm = PartialMatrix(a.shape, rows, cols, a[rows, cols])
     _, info = iterative_svd_complete(pm, 5)
     trace = info["trace"]
     diffs = np.diff(trace)

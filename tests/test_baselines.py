@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from noisycur.baselines import (
-    COLUMN_MODE,
-    ENTRY_MODE,
     AdmmSettings,
     PartialMatrix,
     chen_observe,
     curplus,
     nna,
-    nns,
     svt,
 )
 from noisycur.datasets import synthetic_lowrank
@@ -23,28 +20,23 @@ def nuclear_norm(a):
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
-def make_pm(shape, entries=(), columns=()):
-    pm = PartialMatrix(shape)
-    for i, j, v in entries:
-        pm.add(i, j, v, ENTRY_MODE)
-    for i, j, v in columns:
-        pm.add(i, j, v, COLUMN_MODE)
-    return pm
+def make_pm(shape, entries=()):
+    """PartialMatrix of (row, col, value) triples."""
+    cells = np.array(entries, dtype=np.float64).reshape(-1, 3)
+    return PartialMatrix(shape, cells[:, 0], cells[:, 1], cells[:, 2])
+
+
+def full_pm(a):
+    """Every cell of ``a`` observed once, exactly."""
+    rows, cols = np.indices(a.shape).reshape(2, -1)
+    return PartialMatrix(a.shape, rows, cols, a.ravel())
 
 
 class TestPartialMatrix:
     def test_duplicate_observations_average(self):
         pm = make_pm((3, 3), entries=[(0, 0, 1.0), (0, 0, 3.0)])
-        assert pm.value(0, 0) == pytest.approx(2.0)
+        np.testing.assert_array_equal(pm.values, [2.0])
         assert pm.n_cells == 1
-
-    def test_entry_mode_dominates(self):
-        pm = make_pm((3, 3), entries=[(1, 1, 2.0)], columns=[(1, 1, 4.0)])
-        assert pm.mode(1, 1) == ENTRY_MODE
-        assert pm.value(1, 1) == pytest.approx(3.0)  # mean over both channels
-        rows_e, _ = pm.indices(ENTRY_MODE)
-        rows_c, _ = pm.indices(COLUMN_MODE)
-        assert rows_e.size == 1 and rows_c.size == 0
 
     def test_dense_fill_and_mask(self):
         pm = make_pm((2, 2), entries=[(0, 1, 5.0)])
@@ -54,34 +46,50 @@ class TestPartialMatrix:
 
     def test_cells_sorted(self):
         pm = make_pm((3, 3), entries=[(2, 0, 1.0), (0, 2, 1.0), (1, 1, 1.0)])
-        assert pm.cells() == [(0, 2), (1, 1), (2, 0)]
+        assert list(zip(pm.rows.tolist(), pm.cols.tolist())) == \
+            [(0, 2), (1, 1), (2, 0)]
+
+    def test_cells_row_major_on_a_draw(self):
+        # 300 uniform draws over a wide 5 x 40 shape: many cells repeat, and
+        # row-major order differs from column-major order
+        rng = np.random.default_rng(11)
+        rows = rng.integers(0, 5, size=300)
+        cols = rng.integers(0, 40, size=300)
+        pm = PartialMatrix((5, 40), rows, cols, rng.standard_normal(300))
+        flat = pm.rows * 40 + pm.cols
+        assert (np.diff(flat) > 0).all()
+        np.testing.assert_array_equal(flat, np.unique(rows * 40 + cols))
 
     def test_subset(self):
         pm = make_pm((3, 3), entries=[(0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.0)])
-        sub = pm.subset([(0, 0), (2, 2)])
+        sub = pm.subset([2, 0])
         assert sub.n_cells == 2
-        assert sub.value(2, 2) == 3.0
-        with pytest.raises(KeyError):
-            pm.subset([(0, 1)])
+        np.testing.assert_array_equal(sub.rows, [0, 2])
+        np.testing.assert_array_equal(sub.values, [1.0, 3.0])
+        with pytest.raises(IndexError):
+            pm.subset([3])
 
     def test_bounds_and_validation(self):
-        pm = PartialMatrix((2, 2))
+        for rows, cols in (([2], [0]), ([0], [2]), ([-1], [0]), ([0], [-1])):
+            with pytest.raises(ValueError, match="out of range"):
+                PartialMatrix((2, 2), rows, cols, [1.0])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                PartialMatrix((2, 2), [0, 1], [0, 1], [1.0, bad])
         with pytest.raises(ValueError):
-            pm.add(2, 0, 1.0, ENTRY_MODE)
+            PartialMatrix((2, 2), [0, 1], [0], [1.0])
         with pytest.raises(ValueError):
-            pm.add(0, 0, np.nan, ENTRY_MODE)
-        with pytest.raises(ValueError):
-            pm.add(0, 0, 1.0, "sketch")
+            PartialMatrix((0, 2))
 
     def test_from_observations(self):
         obs = ObservationSet(shape=(3, 2),
-                             column_samples=[(1, np.array([1.0, 2.0, 3.0]))],
-                             entry_samples=[(0, 0, 9.0), (2, 1, 7.0)])
+                             entry_samples=[(2, 1, 7.0), (0, 0, 9.0),
+                                            (2, 1, 3.0)])
         pm = PartialMatrix.from_observations(obs)
-        assert pm.n_cells == 4  # 3 column cells, one overlapping with entries
-        assert pm.mode(2, 1) == ENTRY_MODE  # column cell upgraded by entry obs
-        assert pm.value(2, 1) == pytest.approx((3.0 + 7.0) / 2)
-        assert pm.mode(0, 1) == COLUMN_MODE
+        assert pm.n_cells == 2
+        np.testing.assert_array_equal(pm.rows, [0, 2])
+        np.testing.assert_array_equal(pm.cols, [0, 1])
+        np.testing.assert_array_equal(pm.values, [9.0, 5.0])
 
 
 class TestSvt:
@@ -122,29 +130,20 @@ class TestSvt:
 def noisy_partial(seed, shape=(7, 7), rank=3, fraction=0.6, noise=0.1):
     rng = np.random.default_rng(seed)
     a = synthetic_lowrank(*shape, rank, rng=rng)
-    pm = PartialMatrix(a.shape)
-    for i in range(shape[0]):
-        for j in range(shape[1]):
-            if rng.random() < fraction:
-                pm.add(i, j, a[i, j] + noise * rng.standard_normal(),
-                       ENTRY_MODE)
-    return pm
+    cells = [(i, j, a[i, j] + noise * rng.standard_normal())
+             for i in range(shape[0]) for j in range(shape[1])
+             if rng.random() < fraction]
+    return make_pm(a.shape, cells)
 
 
 def ball_residual(fit, pm):
-    rows, cols = pm.indices()
-    return np.linalg.norm(fit.matrix[rows, cols]
-                          - pm.dense_fill()[rows, cols])
+    return np.linalg.norm(fit.matrix[pm.rows, pm.cols] - pm.values)
 
 
 class TestNna:
     def test_fully_observed_zero_delta(self):
         a = synthetic_lowrank(8, 6, 2, rng=np.random.default_rng(0))
-        pm = PartialMatrix(a.shape)
-        for i in range(8):
-            for j in range(6):
-                pm.add(i, j, a[i, j], ENTRY_MODE)
-        fit = nna(pm, 0.0)
+        fit = nna(full_pm(a), 0.0)
         assert fit.converged
         assert np.abs(fit.matrix - a).max() < 1e-4
 
@@ -155,30 +154,17 @@ class TestNna:
         u = 1.0 + 0.1 * rng.standard_normal(9)
         v = 1.0 + 0.1 * rng.standard_normal(7)
         a = np.outer(u, v)
-        pm = PartialMatrix(a.shape)
-        for i in range(9):
-            for j in range(7):
-                if rng.random() < 0.7:
-                    pm.add(i, j, a[i, j], ENTRY_MODE)
+        rows, cols = np.nonzero(rng.random(a.shape) < 0.7)
+        pm = PartialMatrix(a.shape, rows, cols, a[rows, cols])
         fit = nna(pm, 1e-6, AdmmSettings(tol=1e-8, max_iters=5000))
         rel = np.linalg.norm(fit.matrix - a) / np.linalg.norm(a)
         assert rel < 1e-2
 
     def test_constraint_satisfied(self):
-        rng = np.random.default_rng(7)
-        a = synthetic_lowrank(7, 7, 3, rng=rng)
-        pm = PartialMatrix(a.shape)
-        for i in range(7):
-            for j in range(7):
-                if rng.random() < 0.6:
-                    pm.add(i, j, a[i, j] + 0.1 * rng.standard_normal(),
-                           ENTRY_MODE)
+        pm = noisy_partial(7)
         delta = 0.1 * np.sqrt(pm.n_cells)
         fit = nna(pm, delta, AdmmSettings(tol=1e-7, max_iters=4000))
-        rows, cols = pm.indices()
-        resid = np.linalg.norm(fit.matrix[rows, cols]
-                               - pm.dense_fill()[rows, cols])
-        assert resid <= delta + 1e-3
+        assert ball_residual(fit, pm) <= delta + 1e-3
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_warm_start_reaches_cold_solution(self, seed):
@@ -228,60 +214,14 @@ class TestNna:
             nuclear_norm(fit.matrix), abs=1e-6)
 
 
-class TestNns:
-    def test_reduces_to_nna_without_column_cells(self):
-        rng = np.random.default_rng(9)
-        a = synthetic_lowrank(6, 6, 2, rng=rng)
-        pm = PartialMatrix(a.shape)
-        for i in range(6):
-            for j in range(6):
-                if rng.random() < 0.8:
-                    pm.add(i, j, a[i, j], ENTRY_MODE)
-        f = pm.n_cells
-        sigma_e = 0.3
-        c2 = 1.7
-        delta = np.sqrt(c2 * f * sigma_e**2)
-        settings = AdmmSettings(tol=1e-8, max_iters=5000)
-        split = nns(pm, c1=5.0, c2=c2, d=4, sigma_c=1.0, sigma_e=sigma_e,
-                    settings=settings)
-        single = nna(pm, delta, settings)
-        assert np.abs(split.matrix - single.matrix).max() < 1e-3
-
-    def test_split_constraints_both_satisfied(self):
-        rng = np.random.default_rng(13)
-        a = synthetic_lowrank(8, 6, 2, rng=rng)
-        pm = PartialMatrix(a.shape)
-        sigma_c, sigma_e = 0.5, 0.1
-        for i in range(8):  # two noisy columns
-            for j in (0, 3):
-                pm.add(i, j, a[i, j] + sigma_c * rng.standard_normal(),
-                       COLUMN_MODE)
-        for i in (1, 4, 6):  # a few accurate rows
-            for j in range(6):
-                pm.add(i, j, a[i, j] + sigma_e * rng.standard_normal(),
-                       ENTRY_MODE)
-        c1, c2, d = 2.0, 2.0, 2
-        fit = nns(pm, c1, c2, d, sigma_c, sigma_e,
-                  AdmmSettings(tol=1e-7, max_iters=4000))
-        dense = pm.dense_fill()
-        rows_c, cols_c = pm.indices(COLUMN_MODE)
-        rows_e, cols_e = pm.indices(ENTRY_MODE)
-        res_c = np.linalg.norm(fit.matrix[rows_c, cols_c] - dense[rows_c, cols_c])
-        res_e = np.linalg.norm(fit.matrix[rows_e, cols_e] - dense[rows_e, cols_e])
-        assert res_c <= np.sqrt(c1 * d * 8 * sigma_c**2) + 1e-3
-        assert res_e <= np.sqrt(c2 * rows_e.size * sigma_e**2) + 1e-3
-
-
 class TestCurPlus:
     def test_exact_recovery_noiseless(self):
         a = synthetic_lowrank(10, 8, 2, rng=np.random.default_rng(0))
         c = a[:, [0, 3, 5]]
         r = a[[1, 4], :]
-        pm = PartialMatrix(a.shape)
         rng = np.random.default_rng(1)
-        for _ in range(40):
-            i, j = rng.integers(0, 10), rng.integers(0, 8)
-            pm.add(int(i), int(j), a[i, j], ENTRY_MODE)
+        cells = [(rng.integers(0, 10), rng.integers(0, 8)) for _ in range(40)]
+        pm = make_pm(a.shape, [(i, j, a[i, j]) for i, j in cells])
         fit = curplus(c, r, pm)
         assert np.linalg.norm(fit.estimate - a) / np.linalg.norm(a) < 1e-8
 
@@ -292,11 +232,9 @@ class TestCurPlus:
         c = rng.standard_normal((6, 2))
         r = rng.standard_normal((3, 5))
         a_target = rng.standard_normal((6, 5))
-        pm = PartialMatrix((6, 5))
         cells = [(0, 0), (1, 2), (2, 4), (3, 1), (4, 3), (5, 0), (2, 2),
                  (0, 4), (1, 1)]
-        for i, j in cells:
-            pm.add(i, j, a_target[i, j], ENTRY_MODE)
+        pm = make_pm((6, 5), [(i, j, a_target[i, j]) for i, j in cells])
         fit = curplus(c, r, pm)
         design = np.stack([np.kron(c[i], r[:, j]) for i, j in sorted(cells)])
         rhs = np.array([a_target[i, j] for i, j in sorted(cells)])
@@ -307,15 +245,14 @@ class TestCurPlus:
         rng = np.random.default_rng(3)
         c = rng.standard_normal((7, 3))
         r = rng.standard_normal((2, 6))
-        pm = PartialMatrix((7, 6))
-        for _ in range(15):
-            i, j = int(rng.integers(0, 7)), int(rng.integers(0, 6))
-            pm.add(i, j, float(rng.standard_normal()), ENTRY_MODE)
+        entries = [(rng.integers(0, 7), rng.integers(0, 6),
+                    rng.standard_normal()) for _ in range(15)]
+        pm = make_pm((7, 6), entries)
         fit = curplus(c, r, pm)
         # gradient of sum (c_i U r_j - y)^2 wrt U must vanish
         grad = np.zeros_like(fit.middle)
-        for i, j in pm.cells():
-            resid = c[i] @ fit.middle @ r[:, j] - pm.value(i, j)
+        for i, j, y in zip(pm.rows, pm.cols, pm.values):
+            resid = c[i] @ fit.middle @ r[:, j] - y
             grad += resid * np.outer(c[i], r[:, j])
         assert np.abs(grad).max() < 1e-8
 
@@ -358,8 +295,8 @@ class TestChenObserve:
         a[4] = 10.0
         obs, info = chen_observe(a, self.model(400.0), 0.5,
                                  np.random.default_rng(3), rank=1)
-        p2_rows = [i for i, _ in info["phase2_cells"]]
-        assert p2_rows.count(4) > 0.5 * len(p2_rows)
+        p2_rows = obs.entry_samples["row"][info["phase1_count"]:]
+        assert np.count_nonzero(p2_rows == 4) > 0.5 * len(p2_rows)
 
     def test_bad_fraction(self):
         a = np.ones((4, 4))
@@ -400,3 +337,20 @@ class TestSampleEntriesIntegration:
         # with 400 draws over 16 cells the per-cell means concentrate
         dense = pm.dense_fill()
         assert np.abs(dense - a).max() < 0.5  # ~25 obs per cell, se ~ 0.1
+
+    def test_cell_means_match_sequential_reference(self):
+        # 400 draws over 16 cells: each cell repeats about 25 times, and its
+        # mean must equal a plain running sum over the draws in sampling
+        # order divided by the count, to the last bit
+        rng = np.random.default_rng(0)
+        a = np.arange(16.0).reshape(4, 4)
+        obs = sample_entries(a, 400, 0.5, rng)
+        pm = PartialMatrix.from_observations(obs)
+        sums, counts = {}, {}
+        for i, j, v in obs.entry_samples:
+            key = (int(i), int(j))
+            sums[key] = sums.get(key, 0.0) + float(v)
+            counts[key] = counts.get(key, 0) + 1
+        keys = sorted(sums)
+        assert list(zip(pm.rows.tolist(), pm.cols.tolist())) == keys
+        assert pm.values.tolist() == [sums[k] / counts[k] for k in keys]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from noisycur.baselines import ENTRY_MODE, PartialMatrix
+from noisycur.baselines import PartialMatrix
 from noisycur.datasets import (
     JESTER_N_JOKES,
     DatasetSpec,
@@ -159,11 +159,11 @@ class TestLoadMovielens:
         pm = load_movielens_100k(p)
         assert pm.shape == (1682, 943)
         assert pm.n_cells == 4
-        assert pm.value(9, 0) == 3.0    # item 10, user 1
-        assert pm.value(9, 1) == 5.0
-        assert pm.value(19, 0) == 1.0
-        assert pm.value(1681, 942) == 4.0
-        assert pm.mode(9, 0) == ENTRY_MODE
+        filled = pm.dense_fill(np.nan)
+        assert filled[9, 0] == 3.0    # item 10, user 1
+        assert filled[9, 1] == 5.0
+        assert filled[19, 0] == 1.0
+        assert filled[1681, 942] == 4.0
 
     def test_empty_file_warns(self, tmp_path):
         p = tmp_path / "u.data"
@@ -178,7 +178,7 @@ class TestLoadMovielens:
         with pytest.warns(UserWarning, match="duplicate"):
             pm = load_movielens_100k(p)
         assert pm.n_cells == 1
-        assert pm.value(9, 0) == 5.0
+        assert pm.dense_fill()[9, 0] == 5.0
 
     def test_out_of_range_ids(self, tmp_path):
         p = tmp_path / "u.data"
@@ -199,14 +199,16 @@ class TestLoadMovielens:
             load_movielens_100k(p)
 
 
+def observed(a, mask):
+    """PartialMatrix of the cells of ``a`` where ``mask`` holds."""
+    rows, cols = np.nonzero(mask)
+    return PartialMatrix(a.shape, rows, cols, a[rows, cols])
+
+
 class TestIterativeSvdComplete:
     def test_fully_observed_single_pass(self):
         a = synthetic_lowrank(8, 6, 2, rng=np.random.default_rng(0))
-        pm = PartialMatrix(a.shape)
-        for i in range(8):
-            for j in range(6):
-                pm.add(i, j, a[i, j], ENTRY_MODE)
-        approx, info = iterative_svd_complete(pm, 2)
+        approx, info = iterative_svd_complete(observed(a, np.ones(a.shape)), 2)
         np.testing.assert_allclose(approx, truncated_svd_approx(a, 2),
                                    atol=1e-10)
         assert info["iterations"] == 1
@@ -216,12 +218,10 @@ class TestIterativeSvdComplete:
         rng = np.random.default_rng(3)
         a = np.outer(1 + rng.random(7), 1 + rng.random(5))
         hole = (2, 3)
-        pm = PartialMatrix(a.shape)
-        for i in range(7):
-            for j in range(5):
-                if (i, j) != hole:
-                    pm.add(i, j, a[i, j], ENTRY_MODE)
-        approx, info = iterative_svd_complete(pm, 1, max_iters=500, tol=1e-10)
+        mask = np.ones(a.shape, dtype=bool)
+        mask[hole] = False
+        approx, info = iterative_svd_complete(observed(a, mask), 1,
+                                              max_iters=500, tol=1e-10)
         expected = rank1_missing_cell_oracle(a, *hole)
         assert expected == pytest.approx(a[hole], rel=1e-10)  # oracle sanity
         assert approx[hole] == pytest.approx(expected, abs=1e-6)
@@ -229,11 +229,7 @@ class TestIterativeSvdComplete:
     def test_monotone_observed_residual(self):
         rng = np.random.default_rng(4)
         a = synthetic_lowrank(20, 15, 3, rng=rng)
-        pm = PartialMatrix(a.shape)
-        for i in range(20):
-            for j in range(15):
-                if rng.random() < 0.6:
-                    pm.add(i, j, a[i, j], ENTRY_MODE)
+        pm = observed(a, rng.random(a.shape) < 0.6)
         _, info = iterative_svd_complete(pm, 3, max_iters=100, tol=1e-8)
         trace = info["trace"]
         assert len(trace) >= 2
@@ -242,29 +238,22 @@ class TestIterativeSvdComplete:
     def test_output_rank_bounded(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((10, 9))
-        pm = PartialMatrix(a.shape)
-        for i in range(10):
-            for j in range(9):
-                if rng.random() < 0.8:
-                    pm.add(i, j, a[i, j], ENTRY_MODE)
-        approx, _ = iterative_svd_complete(pm, 3)
+        approx, _ = iterative_svd_complete(
+            observed(a, rng.random(a.shape) < 0.8), 3)
         sv = np.linalg.svd(approx, compute_uv=False)
         assert sv[3] < 1e-8 * max(sv[0], 1e-30)
 
     def test_empty_column_warns(self):
-        pm = PartialMatrix((4, 3))
-        for i in range(4):
-            pm.add(i, 0, 1.0, ENTRY_MODE)
-            pm.add(i, 1, 2.0, ENTRY_MODE)
+        a = np.tile([1.0, 2.0, 0.0], (4, 1))
+        pm = observed(a, a > 0)
         with pytest.warns(UserWarning, match="no observations"):
             approx, _ = iterative_svd_complete(pm, 1, max_iters=50)
         assert np.isfinite(approx).all()
 
     def test_validation(self):
-        pm = PartialMatrix((3, 3))
         with pytest.raises(ValueError):
-            iterative_svd_complete(pm, 1)  # empty
-        pm.add(0, 0, 1.0, ENTRY_MODE)
+            iterative_svd_complete(PartialMatrix((3, 3)), 1)  # empty
+        pm = PartialMatrix((3, 3), [0], [0], [1.0])
         with pytest.raises(ValueError):
             iterative_svd_complete(pm, 0)
         with pytest.raises(ValueError):

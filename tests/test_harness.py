@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import platform
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +89,13 @@ class TestConfigResolution:
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError, match="unknown algorithms"):
             config_from_dict({"sweep": {"algorithms": ["svd"]}})
+
+    def test_deleted_nns_rejected(self):
+        assert "nns" not in ALGORITHM_NAMES
+        with pytest.raises(ConfigError, match="unknown algorithms"):
+            config_from_dict({"sweep": {"algorithms": ["nns"]}})
+        with pytest.raises(ConfigError, match=r"unknown algorithms: \['nns'\]"):
+            config_from_dict({"hyper": {"nns": {"tol": 1e-6}}})
 
     def test_rank_bound(self):
         with pytest.raises(ConfigError, match="rank exceeds"):
@@ -330,6 +339,61 @@ class TestRunSingleCell:
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError):
             run_single_cell(self.a, self.model, "svd", 2, seed=0)
+
+
+class TestHoldoutSplit:
+    def pm(self):
+        obs = sample_entries(np.arange(48.0).reshape(6, 8), 60, 0.1,
+                             np.random.default_rng(2))
+        return PartialMatrix.from_observations(obs)
+
+    def test_partitions_the_cells(self):
+        pm = self.pm()
+        train, held = harness._holdout_split(pm, np.random.default_rng(5))
+        assert held.size == int(0.2 * pm.n_cells)
+        assert train.n_cells + held.size == pm.n_cells
+        full = pm.dense_fill(np.nan)
+        held_cells = set(zip(pm.rows[held].tolist(), pm.cols[held].tolist()))
+        train_cells = set(zip(train.rows.tolist(), train.cols.tolist()))
+        assert not held_cells & train_cells
+        assert held_cells | train_cells == \
+            set(zip(pm.rows.tolist(), pm.cols.tolist()))
+        # train keeps each cell's mean and the row-major order
+        np.testing.assert_array_equal(train.values,
+                                      full[train.rows, train.cols])
+        assert (np.diff(train.rows * 8 + train.cols) > 0).all()
+
+    def test_same_rng_same_split(self):
+        pm = self.pm()
+        first = harness._holdout_split(pm, np.random.default_rng(5))
+        again = harness._holdout_split(pm, np.random.default_rng(5))
+        np.testing.assert_array_equal(first[1], again[1])
+        np.testing.assert_array_equal(first[0].rows, again[0].rows)
+        np.testing.assert_array_equal(first[0].values, again[0].values)
+
+    def test_holdout_sse(self):
+        pm = self.pm()
+        _, held = harness._holdout_split(pm, np.random.default_rng(5))
+        estimate = np.zeros(pm.shape)
+        assert harness._holdout_sse(estimate, pm, held) == pytest.approx(
+            float(np.sum(pm.values[held] ** 2)), rel=1e-15)
+
+    def test_too_few_cells(self):
+        pm = PartialMatrix((3, 3), [0, 1], [0, 1], [1.0, 2.0])
+        assert harness._holdout_split(pm, np.random.default_rng(0)) == \
+            (None, None)
+
+
+class TestMallocThresholds:
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="mallopt thresholds are a glibc feature")
+    def test_fixed_on_glibc(self):
+        assert harness._fix_malloc_thresholds() is True
+
+    def test_no_op_off_linux(self, monkeypatch):
+        monkeypatch.setattr(harness.sys, "platform", "darwin")
+        assert harness._fix_malloc_thresholds() is False
 
 
 class TestRunSweep:

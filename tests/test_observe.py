@@ -13,7 +13,6 @@ from noisycur.observe import (
     plan_split,
     sample_columns,
     sample_entries,
-    sample_rows_entrywise,
     sample_rows_noisy,
     snr,
 )
@@ -190,29 +189,31 @@ class TestSampleEntries:
         assert abs(corr) < 3 / np.sqrt(n_trials)
 
 
-class TestSampleRowsEntrywise:
-    def test_full_rows_observed(self):
-        rng = np.random.default_rng(5)
-        a = np.arange(20.0).reshape(4, 5)
-        obs = sample_rows_entrywise(a, 3, 0.0, rng)
-        assert len(obs.entry_samples) == 15
-        for i, j, v in obs.entry_samples:
-            assert v == a[i, j]
-
-
 class TestObservationSet:
     def test_bounds_checked(self):
+        for cell in ((2, 0, 1.0), (0, 2, 1.0), (-1, 0, 1.0)):
+            with pytest.raises(ValueError, match="out of range"):
+                ObservationSet(shape=(2, 2), entry_samples=[(0, 0, 1.0), cell])
         with pytest.raises(ValueError):
-            ObservationSet(shape=(2, 2), entry_samples=[(2, 0, 1.0)])
-        with pytest.raises(ValueError):
-            ObservationSet(shape=(2, 2), column_samples=[(3, np.zeros(2))])
+            ObservationSet(shape=(0, 2))
+
+    def test_record_fields(self):
+        obs = ObservationSet(shape=(3, 3), entry_samples=[(0, 1, 2.5)])
+        assert len(obs.entry_samples) == 1
+        assert obs.entry_samples.dtype.names == ("row", "col", "value")
+        assert [tuple(r) for r in obs.entry_samples] == [(0, 1, 2.5)]
+        assert len(ObservationSet(shape=(3, 3)).entry_samples) == 0
 
     def test_merged(self):
-        a = ObservationSet(shape=(3, 3), entry_samples=[(0, 0, 1.0)])
-        b = ObservationSet(shape=(3, 3), column_samples=[(1, np.zeros(3))])
+        a = ObservationSet(shape=(3, 3),
+                           entry_samples=[(2, 2, 1.0), (0, 0, 2.0)])
+        b = ObservationSet(shape=(3, 3),
+                           entry_samples=[(1, 0, 3.0), (0, 0, 4.0)])
         both = a.merged(b)
-        assert len(both.entry_samples) == 1
-        assert len(both.column_samples) == 1
+        # phase order: every sample of a, then every sample of b
+        assert [tuple(r) for r in both.entry_samples] == \
+            [(2, 2, 1.0), (0, 0, 2.0), (1, 0, 3.0), (0, 0, 4.0)]
+        assert len(a.entry_samples) == 2
         with pytest.raises(ValueError):
             a.merged(ObservationSet(shape=(2, 2)))
 
