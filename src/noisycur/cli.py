@@ -16,11 +16,7 @@ import click
 import numpy as np
 import yaml
 
-from .completion import (
-    NoisyCurConfig,
-    cross_validate_lambda,
-    draw_noisycur_samples,
-)
+from .completion import NoisyCurConfig, draw_noisycur_samples
 from .harness import (
     ConfigError,
     config_from_dict,
@@ -256,16 +252,12 @@ def cv(data, n_columns, n_rows, sigma_c, sigma_e, lo, hi, num, folds,
                              ridge_lambda=0.0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    rng = np.random.default_rng(seed)
-    draw = draw_noisycur_samples(a, cfg, rng)
+    draw = draw_noisycur_samples(a, cfg, np.random.default_rng(seed))
     grid = np.logspace(math.log10(lo), math.log10(hi), num)
-    folds = min(folds, n_rows)
-    if grid.size == 1 or folds < 2:
-        best = float(grid.min())
+    best, curve, folds = draw.cross_validate(grid, folds)
+    if not folds:
         click.echo(f"lambda {best:.6g} (no cross-validation split)")
         return
-    best, curve = cross_validate_lambda(draw.design, draw.sample_targets,
-                                        grid, rng, n_folds=folds)
     click.echo(f"lambda {best:.6g} by {folds}-fold cross-validation")
     for value, score in zip(grid, curve):
         marker = "  <-- chosen" if value == best else ""

@@ -5,31 +5,26 @@ of the noisy column matrix, sketch s rows by shrinked leverage scores of U,
 observe those rows at entry precision, then ridge-regress the sketched rows
 onto the sketched columns.  The reconstruction is c_tilde @ X.
 
-The sketch samples its s rows with replacement, so S S^T is diagonal with
-weights w_u, and the ridge problem has the same normal equations on the
-distinct sampled rows alone, each with scale sqrt(w_u).  Rows are observed
-on that collapsed sketch too.  Sample j of row u reads
-y_j = scale_j a_u + sigma_e z_j with z_j i.i.d. N(0, I); with
-c_j = scale_j / sqrt(w_u), so that the c_j of row u have unit norm, the
-sum t_u = sum_j c_j y_j = sqrt(w_u) a_u + sigma_e N(0, I) is one noisy read
-of row u at the collapsed scale.  So the solve draws one target per
-distinct row (at most m of them, however large s is), and the s per-sample
-targets that cross-validation folds over are drawn from t by Gaussian
-conditioning only when read: y_j = c_j t_u + sigma_e (r_j - c_j
-sum_{k in u} c_k r_k) with r i.i.d. N(0, I), which has the joint law above
-and sums back to t_u.
+The sketch is per-row counts k_u (linalg.build_sketch), so the ridge runs
+on the sampled rows, each read once (observe.sample_rows_noisy): the sum
+T_u of row u's k_u per-sample reads has the law of sqrt(k_u) times that
+read.  Cross-validation cuts the s samples into folds by per-row counts
+K_uf, and draws the fold sums of the reads given T_u,
+
+    Y_uf = (K_uf / k_u) T_u + sigma_e (R_uf - (K_uf / k_u) sum_f' R_uf'),
+
+with R_uf ~ N(0, K_uf I) independent: the joint law of the fold sums of
+k_u independent reads, which sum back to T_u.  No path holds s rows.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .linalg import (
+    RANK_TOL_FACTOR,
     LeverageProfile,
     SketchMatrix,
     apply_sketch_transpose,
@@ -81,23 +76,16 @@ class NoisyCurDraw:
 
     basis and singular_values come from one SVD of c_tilde (an all-zero
     c_tilde has an empty basis and zero singular values).  row_targets
-    holds one noisy read per distinct sampled row, on the collapsed sketch:
-    its row u is sqrt(w_u) a_u plus N(0, sigma_e^2) per entry, the
-    scale-weighted sum of that row's per-sample reads (module docstring).
-    The per-sample targets and design, shape (s, n) and (s, d), are built
-    on demand only: the solve never needs them, cross-validation over
-    samples does.
+    holds one read per sampled row u, sketch.scales[u] a_u plus
+    N(0, sigma_e^2) per entry (module docstring).
     """
 
     c_tilde: np.ndarray
     column_indices: np.ndarray
     basis: np.ndarray
     singular_values: np.ndarray
-    scores: np.ndarray
     sketch: SketchMatrix
-    collapsed: SketchMatrix
-    inverse: np.ndarray  # collapsed column of each sample
-    row_targets: np.ndarray  # collapsed S^T a + noise, (collapsed.n_cols, n)
+    row_targets: np.ndarray  # S^T a + noise, (sketch.n_cols, n)
     sigma_e: float
     noise_rng: np.random.Generator = field(repr=False)
 
@@ -105,32 +93,12 @@ class NoisyCurDraw:
     def basis_rank(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def design(self) -> np.ndarray:
-        """S^T c_tilde, shape (s, d), gathered afresh on every access."""
-        return apply_sketch_transpose(self.sketch, self.c_tilde)
-
-    @cached_property
-    def sample_targets(self) -> np.ndarray:
-        """Per-sample targets S^T a + noise, shape (s, n), drawn on first read.
-
-        The noise comes from the row-noise stream, after the row draw, by
-        Gaussian conditioning on row_targets (module docstring), so the
-        per-sample reads have the law of s independent reads and collapse
-        back to row_targets.
-        """
-        c = self.sketch.scales / self.collapsed.scales[self.inverse]
-        y = c[:, None] * self.row_targets[self.inverse]
-        if self.sigma_e > 0:
-            r = self.noise_rng.standard_normal(y.shape)
-            s = self.sketch.n_cols
-            # sum_{k in u} c_k r_k for every sampled row u, one nonzero per
-            # column, so no sort is needed
-            row_sums = scipy.sparse.csc_array(
-                (c, self.inverse, np.arange(s + 1)),
-                shape=(self.collapsed.n_cols, s)) @ r
-            y += self.sigma_e * (r - c[:, None] * row_sums[self.inverse])
-        return y
+    def cross_validate(self, grid, n_folds: int):
+        """cross_validate_lambda on the draw, from the row-noise stream."""
+        return cross_validate_lambda(
+            apply_sketch_transpose(self.sketch, self.c_tilde),
+            self.row_targets, grid, self.noise_rng, n_folds,
+            counts=self.sketch.counts, sigma_e=self.sigma_e)
 
 
 @dataclass
@@ -151,14 +119,23 @@ class Reconstruction:
     plan: SamplingPlan | None = None
 
 
-def ridge_solve(design, targets, ridge_lambda: float) -> np.ndarray:
+def _svd_kernel(design: np.ndarray):
+    """Thin SVD (u, sigma, v^T) of design without the singular values at or
+    below linalg's rank tolerance, max(shape) * sigma_1 * RANK_TOL_FACTOR."""
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    keep = sv > max(design.shape) * sv[0] * RANK_TOL_FACTOR
+    return u[:, keep], sv[keep], vt[keep]
+
+
+def ridge_solve(design, targets, ridge_lambda: float, *,
+                return_singular_values: bool = False):
     """Solve min_X ||targets - design @ X||_F^2 + ridge_lambda * ||X||_F^2.
 
-    For ridge_lambda > 0 the normal equations (B^T B + lambda I) X = B^T Y
-    are solved by Cholesky factorization; if roundoff makes the shifted Gram
-    matrix numerically indefinite the solver falls back to a least-squares
-    solve of the stacked system.  ridge_lambda = 0 returns the minimum-norm
-    least-squares solution and warns when the design is rank deficient.
+    One thin SVD B = U diag(sigma) V^T, truncated at linalg's rank
+    tolerance, gives X = V diag(sigma / (sigma^2 + lambda)) U^T Y without
+    squaring the condition number in B^T B.  ridge_lambda = 0 gives the
+    minimum-norm solution, and warns when fewer singular values than
+    columns are kept.  return_singular_values adds the kept ones.
     """
     b = as_matrix(design, "design")
     y = as_matrix(targets, "targets")
@@ -168,30 +145,17 @@ def ridge_solve(design, targets, ridge_lambda: float) -> np.ndarray:
         )
     if not (ridge_lambda >= 0 and math.isfinite(ridge_lambda)):
         raise ValueError("ridge_lambda must be nonnegative and finite")
-    d = b.shape[1]
-
-    if ridge_lambda == 0.0:
-        x, _, rank, _ = np.linalg.lstsq(b, y, rcond=None)
-        if rank < d:
-            warnings.warn(
-                f"rank-deficient design ({rank} < {d}) at lambda = 0; "
-                "returning the minimum-norm solution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return x
-
-    shifted = b.T @ b + ridge_lambda * np.eye(d)
-    rhs = b.T @ y
-    try:
-        factor = scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        # Shifted Gram numerically indefinite (tiny lambda on a near-singular
-        # design); the stacked formulation is slower but unconditionally safe.
-        stacked = np.vstack([b, math.sqrt(ridge_lambda) * np.eye(d)])
-        padded = np.vstack([y, np.zeros((d, y.shape[1]))])
-        return np.linalg.lstsq(stacked, padded, rcond=None)[0]
+    u, sv, vt = _svd_kernel(b)
+    if ridge_lambda == 0.0 and sv.size < b.shape[1]:
+        warnings.warn(
+            f"rank-deficient design ({sv.size} < {b.shape[1]}) at "
+            "lambda = 0; returning the minimum-norm solution",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    shrink = sv / (sv * sv + ridge_lambda)
+    x = vt.T @ (shrink[:, None] * (u.T @ y))
+    return (x, sv) if return_singular_values else x
 
 
 def draw_noisycur_samples(a, cfg: NoisyCurConfig,
@@ -216,17 +180,13 @@ def draw_noisycur_samples(a, cfg: NoisyCurConfig,
         profile = LeverageProfile(
             np.full(a.shape[0], 1.0 / a.shape[0]), "shrinked-row")
     sketch = build_sketch(profile, cfg.n_rows, rng_sketch)
-    collapsed, inverse = sketch.collapse()
-    row_targets = sample_rows_noisy(a, collapsed, cfg.sigma_e, rng_rows)
+    row_targets = sample_rows_noisy(a, sketch, cfg.sigma_e, rng_rows)
     return NoisyCurDraw(
         c_tilde=c_tilde,
         column_indices=indices,
         basis=basis,
         singular_values=singular_values,
-        scores=profile.scores,
         sketch=sketch,
-        collapsed=collapsed,
-        inverse=inverse,
         row_targets=row_targets,
         sigma_e=cfg.sigma_e,
         noise_rng=rng_rows,
@@ -234,7 +194,7 @@ def draw_noisycur_samples(a, cfg: NoisyCurConfig,
 
 
 def _smallest_of_d(singular_values: np.ndarray, d: int) -> float:
-    """sigma_d of a matrix with d columns: 0 when it has fewer than d rows."""
+    """sigma_d of a matrix with d columns: 0 below d singular values."""
     return float(singular_values[d - 1]) if d <= singular_values.size else 0.0
 
 
@@ -242,24 +202,22 @@ def solve_from_draw(draw: NoisyCurDraw, ridge_lambda: float,
                     plan: SamplingPlan | None = None) -> Reconstruction:
     """Ridge-solve a draw and package the reconstruction with diagnostics.
 
-    The solve runs on the collapsed sketch: row u carries the design row
-    sqrt(w_u) c_tilde[u] and its target draw.row_targets[u].  The Gram matrix
-    equals the per-sample one, so sigma_d_sketched, taken from the
-    singular values of this design of at most m rows, is that of the
-    s x d per-sample design too.
+    The solve runs on the sampled rows, whose Gram matrix is that of the
+    s x d per-sample design, so sigma_d_sketched, from the solve's own
+    SVD, is that design's too.
     """
-    design = apply_sketch_transpose(draw.collapsed, draw.c_tilde)
-    x = ridge_solve(design, draw.row_targets, ridge_lambda)
+    design = apply_sketch_transpose(draw.sketch, draw.c_tilde)
+    x, design_sv = ridge_solve(design, draw.row_targets, ridge_lambda,
+                               return_singular_values=True)
     estimate = draw.c_tilde @ x
 
     d = draw.c_tilde.shape[1]
     diagnostics = {
         "sketch_distortion": (
-            embedding_distortion(draw.collapsed, draw.basis)
+            embedding_distortion(draw.sketch, draw.basis)
             if draw.basis_rank else 0.0),
         "sigma_d_c_tilde": _smallest_of_d(draw.singular_values, d),
-        "sigma_d_sketched": _smallest_of_d(
-            np.linalg.svd(design, compute_uv=False), d),
+        "sigma_d_sketched": _smallest_of_d(design_sv, d),
         "basis_rank": draw.basis_rank,
         "ridge_lambda": float(ridge_lambda),
     }
@@ -316,18 +274,86 @@ def guarantee_sample_sizes(rank: int, beta: float, kappa2: float,
     return d_min, s_min
 
 
+def _fold_counts(counts: np.ndarray, n_folds: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Samples of each row in each fold, (rows, n_folds), drawn fold by fold
+    with the law of cutting a random permutation of the samples as
+    np.array_split does; with one sample a row, that permutation is cut."""
+    out = np.zeros((counts.size, n_folds), dtype=np.int64)
+    if (counts == 1).all():
+        for f, rows in enumerate(np.array_split(rng.permutation(counts.size),
+                                                n_folds)):
+            out[rows, f] = 1
+        return out
+    size, extra = divmod(int(counts.sum()), n_folds)
+    left = counts.copy()
+    for f in range(n_folds):
+        out[:, f] = rng.multivariate_hypergeometric(left, size + (f < extra))
+        left -= out[:, f]
+    return out
+
+
+def _fold_sums(targets: np.ndarray, counts: np.ndarray,
+               fold_counts: np.ndarray, sigma_e: float,
+               rng: np.random.Generator) -> np.ndarray:
+    """Fold sums Y_uf of the per-sample reads, shape (rows, folds, n), given
+    T_u = sqrt(k_u) targets[u] (module docstring)."""
+    share = (fold_counts / counts[:, None])[:, :, None]
+    sums = share * (np.sqrt(counts)[:, None] * targets)[:, None, :]
+    multi = counts > 1  # a row sampled once has one fold sum, T_u
+    if sigma_e > 0 and multi.any():
+        r = rng.standard_normal((np.count_nonzero(multi),) + sums.shape[1:])
+        r *= sigma_e * np.sqrt(fold_counts[multi])[:, :, None]
+        r -= share[multi] * r.sum(axis=1, keepdims=True)
+        sums[multi] += r
+    return sums
+
+
+def _held_out_sse(train_design, train_targets, test_design, test_targets,
+                  grid: np.ndarray) -> np.ndarray:
+    """Held-out squared error of the ridge fit for every lambda in grid:
+    with T = test_design V, Q = U^T train_targets, R the residual at the
+    lightest ridge and E its shrinkage sigma / (sigma^2 + lambda) minus
+    lambda's, ||R||^2 + 2 E . diag(T^T R Q^T) + E^T ((T^T T) o (Q Q^T)) E,
+    whose terms shrink with E rather than cancel."""
+    u, sv, vt = _svd_kernel(train_design)
+    q = u.T @ train_targets
+    tv = test_design @ vt.T
+    shrink = sv / (sv * sv + grid[:, None])
+    lightest = shrink[np.argmin(grid)]
+    resid = test_targets - tv @ (lightest[:, None] * q)
+    e = lightest - shrink
+    cross = np.sum((tv.T @ resid) * q, axis=1)
+    quad = (tv.T @ tv) * (q @ q.T)
+    return (float(np.sum(resid * resid)) + 2 * (e @ cross)
+            + np.sum((e @ quad) * e, axis=1))
+
+
 def cross_validate_lambda(design, targets, grid, rng: np.random.Generator,
-                          n_folds: int = 5):
-    """Pick the ridge weight by k-fold cross-validation over sketched rows.
+                          n_folds: int = 5, *, counts=None,
+                          sigma_e: float = 0.0):
+    """Pick the ridge weight by k-fold cross-validation over sketched samples.
 
-    The rows of (design, targets) are shuffled once and split into n_folds
-    contiguous folds; for every grid value the model is fit on the
-    complement and scored by squared error on the held-out rows, reusing one
-    SVD per fold across the whole grid.  No new observations are drawn.
+    Row u stands for k_u = counts[u] samples (default 1) of design row
+    p_u = design[u] / sqrt(k_u), whose reads sum to T_u = sqrt(k_u)
+    targets[u].  The s samples are cut into min(n_folds, s) folds by fold
+    counts K_uf and fold sums Y_uf drawn from rng (module docstring).  Fold
+    f scores the whole grid from one SVD of its training rows, design
+    sqrt(k_u - K_uf) p_u and target (T_u - Y_uf) / sqrt(k_u - K_uf) (the
+    normal equations of row u's other samples).  Its K_uf reads y_j score
 
-    Returns (best_lambda, curve) where curve[i] is the total held-out
-    squared error for grid[i].  Exact ties are broken toward the larger
-    lambda.
+        sum_j ||y_j - p_u X||^2 = ||Y_uf / sqrt(K_uf) - sqrt(K_uf) p_u X||^2
+                                  + sum_j ||y_j||^2 - ||Y_uf||^2 / K_uf,
+
+    whose last terms, the reads' scatter, do not depend on lambda and,
+    given the fold sums, are sigma_e^2 chi^2((K_uf - 1) n) independently.
+    One chi^2 draw of the summed degrees of freedom is added to the curve,
+    which so keeps the per-sample held-out error's law and argmin.
+
+    Returns (best_lambda, curve, folds), curve[i] being the held-out
+    squared error for grid[i].  With one grid value or fewer than two
+    folds no split runs: best_lambda is the smallest grid value, curve is
+    NaN and folds is 0.  Exact ties go to the larger lambda.
     """
     b = as_matrix(design, "design")
     y = as_matrix(targets, "targets")
@@ -338,30 +364,32 @@ def cross_validate_lambda(design, targets, grid, rng: np.random.Generator,
         raise ValueError("grid must be a nonempty 1-D vector")
     if not np.isfinite(grid).all() or (grid < 0).any():
         raise ValueError("grid values must be finite and nonnegative")
-    s = b.shape[0]
-    if n_folds < 2:
-        raise ValueError("need at least 2 folds")
-    if s < n_folds:
-        raise ValueError(f"cannot split {s} rows into {n_folds} folds")
+    k = (np.ones(b.shape[0], dtype=np.int64) if counts is None
+         else np.asarray(counts, dtype=np.int64))
+    if k.shape != (b.shape[0],) or (k < 1).any():
+        raise ValueError("counts must be positive, one per row")
+    if sigma_e < 0:
+        raise ValueError("sigma_e must be nonnegative")
+    s = int(k.sum())
+    folds = min(int(n_folds), s)
+    if grid.size == 1 or folds < 2:
+        return float(grid.min()), np.full(grid.size, np.nan), 0
 
-    perm = rng.permutation(s)
-    folds = np.array_split(perm, n_folds)
+    fold_counts = _fold_counts(k, folds, rng)
+    fold_sums = _fold_sums(y, k, fold_counts, sigma_e, rng)
+    per_sample = b / np.sqrt(k)[:, None]
+    totals = np.sqrt(k)[:, None] * y
     curve = np.zeros(grid.size)
-    for held_out in folds:
-        train = np.setdiff1d(perm, held_out, assume_unique=True)
-        u, sv, vt = np.linalg.svd(b[train], full_matrices=False)
-        keep = sv > max(b.shape) * sv[0] * 1e-12 if sv.size and sv[0] > 0 else sv > 0
-        u, sv, vt = u[:, keep], sv[keep], vt[keep]
-        uty = u.T @ y[train]                    # (k, n)
-        test_v = b[held_out] @ vt.T             # (t, k)
-        y_test = y[held_out]
-        for g, lam in enumerate(grid):
-            if sv.size == 0:
-                pred = np.zeros_like(y_test)
-            else:
-                shrink = sv / (sv * sv + lam) if lam > 0 else 1.0 / sv
-                pred = (test_v * shrink) @ uty
-            diff = pred - y_test
-            curve[g] += float(np.sum(diff * diff))
+    for f in range(folds):
+        held, rest = fold_counts[:, f], k - fold_counts[:, f]
+        train, test = rest > 0, held > 0
+        w = np.sqrt(rest[train])[:, None]
+        v = np.sqrt(held[test])[:, None]
+        curve += _held_out_sse(
+            w * per_sample[train], (totals - fold_sums[:, f])[train] / w,
+            v * per_sample[test], fold_sums[test, f] / v, grid)
+    scatter_dof = y.shape[1] * (s - np.count_nonzero(fold_counts))
+    if sigma_e > 0 and scatter_dof > 0:
+        curve += sigma_e * sigma_e * rng.chisquare(scatter_dof)
     best = float(np.max(grid[curve == curve.min()]))
-    return best, curve
+    return best, curve, folds

@@ -31,7 +31,6 @@ import yaml
 from .baselines import AdmmSettings, PartialMatrix, chen_observe, curplus, nna
 from .completion import (
     NoisyCurConfig,
-    cross_validate_lambda,
     draw_noisycur_samples,
     solve_from_draw,
 )
@@ -579,21 +578,12 @@ def _run_ncur(a, model: TwoCostModel, d: int, rng: np.random.Generator,
                          sigma_c=model.sigma_c, sigma_e=model.sigma_e,
                          ridge_lambda=0.0)
     draw = draw_noisycur_samples(a, cfg, rng)
-    folds = min(int(hyper["cv_folds"]), plan.n_rows)
-    if grid.size == 1:
-        best = float(grid[0])
-    elif folds < 2:
-        # A single sketched row cannot be split; take the lightest ridge.
-        best = float(grid.min())
-        folds = 0
-    else:
-        best, _ = cross_validate_lambda(draw.design, draw.sample_targets,
-                                        grid, rng, n_folds=folds)
+    best, _, folds = draw.cross_validate(grid, int(hyper["cv_folds"]))
     rec = solve_from_draw(draw, best, plan=plan)
 
     ledger = BudgetLedger(model.budget)
     ledger.charge("column", rec.c_tilde.shape[1], model.column_price)
-    ledger.charge("entry", draw.sketch.n_cols * n, model.entry_price)
+    ledger.charge("entry", draw.sketch.n_samples * n, model.entry_price)
     return _CellOutcome(
         estimate=rec.estimate, n_sketch_rows=plan.n_rows, ledger=ledger,
         hyperparams={"ridge_lambda": best, "cv_folds": folds},

@@ -1,9 +1,10 @@
 """Sketching primitives: orthonormal bases, shrinked leverage scores, row sampling.
 
-The sampling operator built here is the tall sparse matrix S with one nonzero
-per column: column j picks row i_j with probability p(i_j) and carries the
-scale 1/sqrt(s * p(i_j)), which makes E[S S^T] = I.  Applying S^T to a matrix
-is therefore a scaled row gather and never materializes S densely.
+The row sketch samples s rows i.i.d. with replacement from p, each sample
+of row u with scale 1/sqrt(s * p_u), which makes E[S S^T] = I.  So it is
+fully described by per-row counts k_u, and is stored with one column per
+sampled row at scale sqrt(k_u / (s p_u)): the same S S^T, in at most m
+columns.  Applying S^T to a matrix is a scaled row gather.
 """
 
 from dataclasses import dataclass
@@ -153,15 +154,18 @@ def column_leverage_and_coherence(a, rank: int | None = None):
 
 @dataclass(frozen=True)
 class SketchMatrix:
-    """Sparse row-sampling operator S of shape (n_rows, s).
+    """Sparse row-sampling operator S of shape (n_rows, n_cols).
 
-    Column j has its single nonzero at row indices[j] with value scales[j].
-    Stored as index/scale vectors; S is only densified on demand.
+    Column j has its single nonzero at row indices[j] with value scales[j],
+    and stands for counts[j] samples of that row (one each by default), so
+    the per-sample scale is scales[j] / sqrt(counts[j]).  Stored as
+    index/scale/count vectors; S is only densified on demand.
     """
 
     n_rows: int
     indices: np.ndarray
     scales: np.ndarray
+    counts: np.ndarray | None = None
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
@@ -174,51 +178,36 @@ class SketchMatrix:
             raise ValueError("sketch indices out of range")
         if not np.isfinite(sc).all() or (sc <= 0).any():
             raise ValueError("sketch scales must be finite and positive")
+        counts = (np.ones(idx.size, dtype=np.int64) if self.counts is None
+                  else np.asarray(self.counts, dtype=np.int64))
+        if counts.shape != idx.shape or (counts < 1).any():
+            raise ValueError("counts must be positive, one per column")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "scales", sc)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def n_cols(self) -> int:
         return self.indices.size
+
+    @property
+    def n_samples(self) -> int:
+        """s, the number of samples the sketch stands for."""
+        return int(self.counts.sum())
 
     def dense(self) -> np.ndarray:
         s = np.zeros((self.n_rows, self.n_cols))
         s[self.indices, np.arange(self.n_cols)] = self.scales
         return s
 
-    def row_weights(self) -> np.ndarray:
-        """Diagonal of S S^T: the sum of squared scales landing on each row."""
-        return np.bincount(self.indices, weights=self.scales**2, minlength=self.n_rows)
-
-    def spectral_norm_sq(self) -> float:
-        """Exact ||S||_2^2 = max_i sum of squared scales landing on row i."""
-        return float(self.row_weights().max())
-
-    def collapse(self):
-        """The equivalent sketch on the distinct sampled rows.
-
-        S S^T is diagonal with weights w = row_weights(), so the sketch with
-        one column per sampled row u (in increasing order) and scale
-        sqrt(w_u) has the same S S^T and at most n_rows columns.  Returns
-        (collapsed, inverse), where inverse[j] is the collapsed column that
-        sample j landed in.
-        """
-        weights = self.row_weights()
-        rows = np.flatnonzero(weights)
-        position = np.empty(self.n_rows, dtype=np.int64)
-        position[rows] = np.arange(rows.size)
-        collapsed = SketchMatrix(n_rows=self.n_rows, indices=rows,
-                                 scales=np.sqrt(weights[rows]))
-        return collapsed, position[self.indices]
-
 
 def build_sketch(p, s: int, rng: np.random.Generator) -> SketchMatrix:
-    """Draw a row-sampling sketch with s columns from the distribution p.
+    """Draw a row-sampling sketch of s samples from the distribution p.
 
     p may be a probability vector or a LeverageProfile; it must be
-    nonnegative and sum to one within 1e-8.  Rows are drawn i.i.d. with
-    replacement; duplicates are kept, each with scale 1/sqrt(s * p_i).
-    Zero-probability rows are never selected.
+    nonnegative and sum to one within 1e-8.  The per-row counts are
+    k ~ Multinomial(s, p), and the sketch has one column per sampled row u,
+    in increasing order, with count k_u and scale sqrt(k_u / (s * p_u)).
     """
     if isinstance(p, LeverageProfile):
         p = p.scores
@@ -233,9 +222,11 @@ def build_sketch(p, s: int, rng: np.random.Generator) -> SketchMatrix:
     if s < 1:
         raise ValueError("sketch size s must be >= 1")
     p_norm = p / total
-    indices = rng.choice(p.size, size=int(s), replace=True, p=p_norm)
-    scales = 1.0 / np.sqrt(s * p_norm[indices])
-    return SketchMatrix(n_rows=p.size, indices=indices, scales=scales)
+    counts = rng.multinomial(int(s), p_norm)
+    rows = np.flatnonzero(counts)
+    scales = np.sqrt(counts[rows] / (s * p_norm[rows]))
+    return SketchMatrix(n_rows=p.size, indices=rows, scales=scales,
+                        counts=counts[rows])
 
 
 def apply_sketch_transpose(sketch: SketchMatrix, a) -> np.ndarray:

@@ -7,12 +7,10 @@ s full sketched rows (n entries per row), and s is always floored from
 whatever is left after the columns.  Noise is regenerated per observation:
 sampling the same column or cell twice yields independent noise draws.
 
-noisyCUR's s sketched rows are read on the collapsed sketch
-(SketchMatrix.collapse): sample_rows_noisy reads each distinct sampled row
-u once, scaled by sqrt(w_u), with N(0, sigma_e^2) noise per entry.  That
-is the exact law of the scale-weighted sum of the s independent per-sample
-reads that the budget pays for (s * n entries); completion.NoisyCurDraw
-recovers those per-sample reads from it when cross-validation needs them.
+noisyCUR's sketch holds per-row counts k_u (linalg.build_sketch), and
+sample_rows_noisy reads each sampled row once at the sketch's scale with
+N(0, sigma_e^2) noise per entry: the exact law of the scaled sum of the
+k_u per-sample reads the budget pays for (s * n entries in all).
 """
 
 import math

@@ -1,7 +1,9 @@
 """Ridge regression core, full pipeline runs, and lambda cross-validation."""
 
+import copy
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from noisycur.completion import (
     NoisyCurConfig,
     NoisyCurDraw,
+    _fold_counts,
+    _fold_sums,
     cross_validate_lambda,
     draw_noisycur_samples,
     guarantee_sample_sizes,
@@ -200,11 +204,24 @@ class TestNoisyCurPipeline:
         assert rec.diagnostics["sigma_d_sketched"] >= 0.0
 
 
+def per_sample(draw):
+    """Reference: the s-row per-sample design and reads of a draw, built by
+    repeating each sampled row over its count.  Each sample of row u reads
+    t_u / sqrt(k_u), so the reads of a row sum to sqrt(k_u) t_u, as the
+    per-sample reads do."""
+    sketch = draw.sketch
+    k = sketch.counts
+    full = SketchMatrix(n_rows=sketch.n_rows,
+                        indices=np.repeat(sketch.indices, k),
+                        scales=np.repeat(sketch.scales / np.sqrt(k), k))
+    reads = np.repeat(draw.row_targets / np.sqrt(k)[:, None], k, axis=0)
+    return full, apply_sketch_transpose(full, draw.c_tilde), reads
+
+
 def per_sample_solve(draw, lam):
-    """Reference: the s x d gathered design and the per-sample targets,
-    then ridge_solve on them."""
-    design = apply_sketch_transpose(draw.sketch, draw.c_tilde)
-    x = ridge_solve(design, draw.sample_targets, lam)
+    """Reference: ridge_solve on the s x d per-sample design and reads."""
+    full, design, reads = per_sample(draw)
+    x = ridge_solve(design, reads, lam)
     sv = np.linalg.svd(design, compute_uv=False)
     d = design.shape[1]
     return {
@@ -212,7 +229,7 @@ def per_sample_solve(draw, lam):
         "coefficients": x,
         "sigma_d_sketched": sv[d - 1] if d <= sv.size else 0.0,
         "sketch_distortion": (
-            embedding_distortion(draw.sketch, orthonormal_basis(draw.c_tilde))
+            embedding_distortion(full, orthonormal_basis(draw.c_tilde))
             if np.any(draw.c_tilde) else 0.0),
     }
 
@@ -220,15 +237,14 @@ def per_sample_solve(draw, lam):
 def with_sketch(draw, a, sketch, rng):
     """draw with its sketch and row reads replaced, taken as
     draw_noisycur_samples takes them."""
-    collapsed, inverse = sketch.collapse()
     return dataclasses.replace(
-        draw, sketch=sketch, collapsed=collapsed, inverse=inverse,
-        row_targets=sample_rows_noisy(a, collapsed, draw.sigma_e, rng),
+        draw, sketch=sketch,
+        row_targets=sample_rows_noisy(a, sketch, draw.sigma_e, rng),
         noise_rng=rng)
 
 
 class TestCollapsedSolve:
-    """solve_from_draw on the distinct sampled rows against the s-row path."""
+    """solve_from_draw on the sampled rows against the s-row path."""
 
     def check(self, draw, lam, sigma_d_is_zero=False):
         with warnings.catch_warnings(record=True) as caught:
@@ -247,7 +263,8 @@ class TestCollapsedSolve:
         if sigma_d_is_zero:
             # the smallest singular value is zero up to rounding on both
             # paths
-            scale = np.linalg.norm(draw.design, 2)
+            scale = np.linalg.norm(
+                apply_sketch_transpose(draw.sketch, draw.c_tilde), 2)
             assert rec.diagnostics["sigma_d_sketched"] <= 1e-12 * scale
             assert ref["sigma_d_sketched"] <= 1e-12 * scale
         else:
@@ -260,9 +277,30 @@ class TestCollapsedSolve:
         cfg = NoisyCurConfig(n_columns=5, n_rows=400, sigma_c=0.3,
                              sigma_e=0.1, ridge_lambda=0.5)
         draw = draw_noisycur_samples(a, cfg, np.random.default_rng(8))
-        assert draw.collapsed.n_cols <= 12 < draw.sketch.n_cols
+        assert draw.sketch.n_cols <= 12 < draw.sketch.n_samples == 400
         self.check(draw, 0.5)
         self.check(draw, 0.0)
+
+    def test_fewer_samples_than_columns(self):
+        # s <= d: the design is wide and the lightest ridges are badly
+        # conditioned, where a normal-equations solve loses digits
+        a = synthetic_lowrank(30, 20, 4, rng=np.random.default_rng(3))
+        cfg = NoisyCurConfig(n_columns=12, n_rows=9, sigma_c=0.3,
+                             sigma_e=0.1, ridge_lambda=1e-6)
+        draw = draw_noisycur_samples(a, cfg, np.random.default_rng(5))
+        assert draw.sketch.n_samples <= draw.c_tilde.shape[1]
+        for lam in (1e-6, 1.0):
+            self.check(draw, lam, sigma_d_is_zero=True)
+
+    def test_more_columns_than_rows(self):
+        # d > m, the guarantee's shape: more noisy columns than rows
+        a = synthetic_lowrank(12, 10, 3, rng=np.random.default_rng(4))
+        cfg = NoisyCurConfig(n_columns=20, n_rows=300, sigma_c=0.3,
+                             sigma_e=0.1, ridge_lambda=1.0)
+        draw = draw_noisycur_samples(a, cfg, np.random.default_rng(6))
+        assert draw.c_tilde.shape[1] > a.shape[0]
+        for lam in (1.0, 0.0):
+            self.check(draw, lam, sigma_d_is_zero=True)
 
     def test_lambda_zero_rank_deficient_design(self):
         # noiseless columns of a rank-2 matrix: 5 columns spanning 2
@@ -292,83 +330,119 @@ class TestCollapsedSolve:
                              sigma_e=0.1, ridge_lambda=0.2)
         draw = draw_noisycur_samples(a, cfg, np.random.default_rng(1))
         assert draw.basis_rank == 8
-        rows = np.repeat(np.arange(5), 2)
-        sketch = SketchMatrix(n_rows=12, indices=rows,
-                              scales=np.linspace(0.8, 1.7, 10))
+        sketch = SketchMatrix(n_rows=12, indices=np.arange(5),
+                              scales=np.sqrt(2) * np.linspace(0.8, 1.7, 5),
+                              counts=np.full(5, 2))
         draw = with_sketch(draw, a, sketch, np.random.default_rng(3))
         rec = self.check(draw, 0.2, sigma_d_is_zero=True)
         assert rec.diagnostics["sigma_d_sketched"] == 0.0
         assert rec.diagnostics["sketch_distortion"] >= 1.0
 
     def test_design_is_built_on_demand(self):
+        # the draw keeps no per-sample array: its sketch and targets have
+        # one row per sampled row, however many samples they stand for
         fields = {f.name for f in dataclasses.fields(NoisyCurDraw)}
-        assert not {"design", "sample_targets"} & fields
+        assert not {"design", "sample_targets", "collapsed",
+                    "inverse"} & fields
         a = synthetic_lowrank(10, 8, 2, rng=np.random.default_rng(9))
-        cfg = NoisyCurConfig(n_columns=3, n_rows=7, sigma_c=0.2,
+        cfg = NoisyCurConfig(n_columns=3, n_rows=700, sigma_c=0.2,
                              sigma_e=0.1, ridge_lambda=1.0)
         draw = draw_noisycur_samples(a, cfg, np.random.default_rng(0))
-        np.testing.assert_array_equal(
-            draw.design, apply_sketch_transpose(draw.sketch, draw.c_tilde))
-        assert draw.design.shape == (7, 3)
-        assert draw.sample_targets.shape == (7, 8)
-        assert draw.sample_targets is draw.sample_targets
+        assert not hasattr(draw, "design")
+        assert draw.sketch.n_samples == 700
+        assert draw.sketch.n_cols <= 10
+        assert draw.row_targets.shape == (draw.sketch.n_cols, 8)
 
     def test_reading_sample_targets_leaves_the_solve_alone(self):
+        # cross-validation reads the fold sums of the per-sample reads from
+        # the row-noise stream; the solve must not see that
         a = synthetic_lowrank(10, 8, 2, rng=np.random.default_rng(9))
         cfg = NoisyCurConfig(n_columns=3, n_rows=30, sigma_c=0.2,
                              sigma_e=0.1, ridge_lambda=1.0)
         read, unread = (draw_noisycur_samples(a, cfg, np.random.default_rng(4))
                         for _ in range(2))
-        read.sample_targets
+        read.cross_validate(np.logspace(-3, 3, 7), 5)
         np.testing.assert_array_equal(solve_from_draw(read, 1.0).estimate,
                                       solve_from_draw(unread, 1.0).estimate)
 
+    def test_cost_does_not_depend_on_s(self):
+        # two million samples on 80 rows: the draw, the cross-validation and
+        # the solve allocate nothing of s rows (the sample index and scale
+        # vectors alone would take 32 MB)
+        a = synthetic_lowrank(80, 60, 4, rng=np.random.default_rng(1))
+        cfg = NoisyCurConfig(n_columns=10, n_rows=2_000_000, sigma_c=0.2,
+                             sigma_e=0.1, ridge_lambda=1.0)
+        tracemalloc.start()
+        try:
+            draw = draw_noisycur_samples(a, cfg, np.random.default_rng(2))
+            best, _, _ = draw.cross_validate(np.logspace(-3, 3, 7), 5)
+            solve_from_draw(draw, best)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+        assert draw.sketch.n_samples == 2_000_000
+
 
 class TestPerSampleTargets:
-    """The per-sample reads drawn from the per-row ones by conditioning."""
+    """The fold sums of the per-sample reads, drawn from the per-row reads
+    by Gaussian conditioning."""
 
-    @staticmethod
-    def weights(sketch):
-        """c_j = scale_j / sqrt(w_u), straight from the sketch's scales."""
-        w = np.zeros(sketch.n_rows)
-        for i, scale in zip(sketch.indices, sketch.scales):
-            w[i] += scale * scale
-        return sketch.scales / np.sqrt(w[sketch.indices])
-
-    def draw(self, sigma_e, n_cols=10, seed=8):
-        a = synthetic_lowrank(12, n_cols, 3, rng=np.random.default_rng(5))
+    def draw(self, sigma_e, seed=8):
+        a = synthetic_lowrank(12, 10, 3, rng=np.random.default_rng(5))
         cfg = NoisyCurConfig(n_columns=5, n_rows=400, sigma_c=0.3,
                              sigma_e=sigma_e, ridge_lambda=0.5)
         return a, draw_noisycur_samples(a, cfg, np.random.default_rng(seed))
 
+    @staticmethod
+    def fold_sums(draw):
+        counts = draw.sketch.counts
+        fold_counts = _fold_counts(counts, 5, np.random.default_rng(0))
+        return fold_counts, _fold_sums(draw.row_targets, counts, fold_counts,
+                                       draw.sigma_e, np.random.default_rng(1))
+
     def test_collapse_returns_row_targets(self):
         _, draw = self.draw(0.1)
-        c = self.weights(draw.sketch)
-        collapsed = np.zeros_like(draw.row_targets)
-        for j, u in enumerate(draw.inverse):
-            collapsed[u] += c[j] * draw.sample_targets[j]
-        np.testing.assert_allclose(collapsed, draw.row_targets, rtol=0,
-                                   atol=1e-12)
+        counts = draw.sketch.counts
+        fold_counts, sums = self.fold_sums(draw)
+        np.testing.assert_array_equal(fold_counts.sum(axis=1), counts)
+        np.testing.assert_array_equal(fold_counts.sum(axis=0), [80] * 5)
+        totals = np.sqrt(counts)[:, None] * draw.row_targets
+        np.testing.assert_allclose(sums.sum(axis=1), totals, rtol=0,
+                                   atol=1e-12 * np.abs(totals).max())
 
     def test_noiseless_reads_are_sketched_rows(self):
         a, draw = self.draw(0.0)
-        np.testing.assert_allclose(draw.sample_targets,
-                                   apply_sketch_transpose(draw.sketch, a),
+        fold_counts, sums = self.fold_sums(draw)
+        _, _, reads = per_sample(draw)
+        rows = np.cumsum(draw.sketch.counts) - 1
+        np.testing.assert_allclose(
+            sums, fold_counts[:, :, None] * reads[rows][:, None, :],
+            rtol=1e-12, atol=0)
+        full, _, _ = per_sample(draw)
+        np.testing.assert_allclose(reads, apply_sketch_transpose(full, a),
                                    rtol=1e-12, atol=0)
 
     def test_residuals_are_independent_reads(self):
-        # row 0 sampled three times and row 1 twice, with unequal scales;
-        # row 2 once.  Each residual entry must be N(0, sigma_e^2), and two
-        # samples of one row uncorrelated, over 20000 i.i.d. columns.
-        a, draw = self.draw(0.3, n_cols=20_000)
-        sketch = SketchMatrix(n_rows=12, indices=np.array([0, 0, 0, 1, 1, 2]),
-                              scales=np.array([0.5, 1.0, 2.0, 0.7, 1.3, 1.0]))
-        draw = with_sketch(draw, a, sketch, np.random.default_rng(11))
-        residual = draw.sample_targets - apply_sketch_transpose(sketch, a)
-        np.testing.assert_allclose(residual.var(axis=1), 0.09, rtol=0.05)
-        corr = np.corrcoef(residual)
-        for j, k in ((0, 1), (0, 2), (1, 2), (3, 4)):
-            assert abs(corr[j, k]) < 0.03, (j, k)
+        # rows sampled 3, 5 and 1 times, cut into three folds.  Given the
+        # rows' reads, each fold sum of K of a row's k reads must vary as
+        # sigma_e^2 K (1 - K/k), over 20000 i.i.d. columns, and fold sums of
+        # different rows must be uncorrelated.
+        counts = np.array([3, 5, 1])
+        fold_counts = np.array([[1, 2, 0], [2, 1, 2], [0, 0, 1]])
+        targets = np.random.default_rng(2).standard_normal((3, 20_000))
+        sums = _fold_sums(targets, counts, fold_counts, 0.3,
+                          np.random.default_rng(11))
+        share = fold_counts / counts[:, None]
+        residual = sums - (share * np.sqrt(counts)[:, None])[:, :, None] \
+            * targets[:, None, :]
+        expected = 0.09 * fold_counts * (1 - share)
+        for u, f in zip(*np.nonzero(expected)):
+            np.testing.assert_allclose(residual[u, f].var(), expected[u, f],
+                                       rtol=0.05)
+        assert not residual[2].any()
+        corr = np.corrcoef(residual[0, 0], residual[1, 0])[0, 1]
+        assert abs(corr) < 0.03
 
 
 class TestGuaranteeSampleSizes:
@@ -409,16 +483,17 @@ class TestCrossValidateLambda:
         rng = np.random.default_rng(0)
         b = rng.standard_normal((10, 3))
         y = rng.standard_normal((10, 2))
-        best, curve = cross_validate_lambda(b, y, [0.37], rng)
+        best, curve, folds = cross_validate_lambda(b, y, [0.37], rng)
         assert best == 0.37
         assert curve.shape == (1,)
+        assert folds == 0  # one value: nothing to split for
 
     def test_pure_noise_prefers_largest(self):
         rng = np.random.default_rng(42)
         b = rng.standard_normal((30, 4))
         y = rng.standard_normal((30, 5))  # no signal: best predictor is 0
         grid = np.logspace(-4, 6, 15)
-        best, curve = cross_validate_lambda(b, y, grid, rng)
+        best, curve, _ = cross_validate_lambda(b, y, grid, rng)
         assert best == grid[-1]
         # curve flattens at the top end where X is fully shrunk
         assert curve[-1] <= curve[0]
@@ -429,7 +504,7 @@ class TestCrossValidateLambda:
         x_true = rng.standard_normal((4, 3))
         y = b @ x_true
         grid = np.logspace(-8, 2, 11)
-        best, _ = cross_validate_lambda(b, y, grid, rng)
+        best, _, _ = cross_validate_lambda(b, y, grid, rng)
         assert best <= grid[1]  # within one grid step of the minimum
 
     def test_tie_breaks_to_larger(self):
@@ -438,15 +513,21 @@ class TestCrossValidateLambda:
         b = rng.standard_normal((12, 3))
         y = np.zeros((12, 2))
         grid = [0.1, 1.0, 10.0]
-        best, curve = cross_validate_lambda(b, y, grid, rng)
+        best, curve, _ = cross_validate_lambda(b, y, grid, rng)
         assert best == 10.0
         assert np.allclose(curve, 0.0)
 
     def test_too_few_rows(self):
+        # three samples split three ways, not five; one cannot be split,
+        # so the lightest ridge is taken
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            cross_validate_lambda(np.ones((3, 1)), np.ones((3, 1)),
-                                  [1.0], rng, n_folds=5)
+        grid = [1.0, 0.5]
+        _, curve, folds = cross_validate_lambda(
+            np.ones((3, 1)), np.ones((3, 1)), grid, rng, n_folds=5)
+        assert folds == 3 and np.isfinite(curve).all()
+        best, curve, folds = cross_validate_lambda(
+            np.ones((1, 1)), np.ones((1, 1)), grid, rng, n_folds=5)
+        assert (best, folds) == (0.5, 0) and np.isnan(curve).all()
 
     def test_no_extra_observations_consumed(self):
         # CV must only reorder/partition the rows it was given; with the same
@@ -456,7 +537,47 @@ class TestCrossValidateLambda:
         b = np.random.default_rng(1).standard_normal((20, 3))
         y = np.random.default_rng(2).standard_normal((20, 2))
         grid = np.logspace(-3, 3, 7)
-        best_a, curve_a = cross_validate_lambda(b, y, grid, rng_a)
-        best_b, curve_b = cross_validate_lambda(b, y, grid, rng_b)
+        best_a, curve_a, _ = cross_validate_lambda(b, y, grid, rng_a)
+        best_b, curve_b, _ = cross_validate_lambda(b, y, grid, rng_b)
         assert best_a == best_b
         np.testing.assert_array_equal(curve_a, curve_b)
+
+    def test_fold_counts_match_per_sample_folds(self):
+        # sigma_e = 0 makes the fold sums exact, so the curve must equal
+        # the per-sample curve over folds with the drawn fold counts
+        a = synthetic_lowrank(12, 10, 3, rng=np.random.default_rng(5))
+        cfg = NoisyCurConfig(n_columns=5, n_rows=400, sigma_c=0.3,
+                             sigma_e=0.0, ridge_lambda=1.0)
+        draw = draw_noisycur_samples(a, cfg, np.random.default_rng(8))
+        grid = np.logspace(-6, 3, 10)
+        rng = copy.deepcopy(draw.noise_rng)
+        _, curve, folds = draw.cross_validate(grid, 5)
+        fold_counts = _fold_counts(draw.sketch.counts, folds, rng)
+        _, design, reads = per_sample(draw)
+        fold_of = np.concatenate([np.repeat(np.arange(folds), row)
+                                  for row in fold_counts])
+        ref = np.zeros(grid.size)
+        for f in range(folds):
+            held = fold_of == f
+            for g, lam in enumerate(grid):
+                x = ridge_solve(design[~held], reads[~held], lam)
+                ref[g] += np.sum((reads[held] - design[held] @ x) ** 2)
+        np.testing.assert_allclose(curve, ref, rtol=1e-10)
+
+    def test_curve_keeps_the_per_sample_law(self):
+        # with a zero design every fit predicts 0, so the held-out error is
+        # the sum of all s * n squared reads, of mean s n sigma_e^2 for a
+        # zero matrix; the fold sums carry only 12 * 5 cells of it, so the
+        # scatter constant must carry the rest
+        counts = np.random.default_rng(0).multinomial(400, np.full(12, 1 / 12))
+        rng = np.random.default_rng(4)
+        grid = [0.1, 1.0]
+        curves = [
+            cross_validate_lambda(
+                np.zeros((12, 3)),
+                0.5 * rng.standard_normal((12, 10)), grid, rng,
+                counts=counts, sigma_e=0.5)[1]
+            for _ in range(200)]
+        assert np.ptp(curves, axis=1).max() == 0.0
+        np.testing.assert_allclose(np.mean(curves), 400 * 10 * 0.25,
+                                   rtol=0.05)

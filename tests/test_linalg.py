@@ -134,13 +134,16 @@ class TestBuildSketch:
         rng = np.random.default_rng(0)
         m, s = 6, 4
         sk = build_sketch(np.full(m, 1 / m), s, rng)
-        np.testing.assert_allclose(sk.scales, np.sqrt(m / s))
+        np.testing.assert_allclose(sk.scales / np.sqrt(sk.counts),
+                                   np.sqrt(m / s))
 
     def test_degenerate_distribution(self):
         rng = np.random.default_rng(0)
         sk = build_sketch(np.array([1.0, 0.0, 0.0, 0.0]), 3, rng)
         assert (sk.indices == 0).all()
-        np.testing.assert_allclose(sk.scales, 1 / np.sqrt(3))
+        np.testing.assert_array_equal(sk.counts, [3])
+        np.testing.assert_allclose(sk.scales / np.sqrt(sk.counts),
+                                   1 / np.sqrt(3))
 
     def test_s_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -152,7 +155,7 @@ class TestBuildSketch:
         prof = shrinked_row_scores(u)
         s = 10_000
         sk = build_sketch(prof, s, rng)
-        counts = np.bincount(sk.indices, minlength=5)
+        counts = np.bincount(sk.indices, weights=sk.counts, minlength=5)
         p = prof.scores
         sigma = np.sqrt(s * p * (1 - p))
         assert (np.abs(counts - s * p) <= 3 * sigma + 1e-9).all()
@@ -195,26 +198,33 @@ class TestApplySketch:
             apply_sketch_transpose(sk, np.eye(4))
 
 
+def per_sample(sk):
+    """The s-column form of a sketch: one column per sample."""
+    return SketchMatrix(n_rows=sk.n_rows,
+                        indices=np.repeat(sk.indices, sk.counts),
+                        scales=np.repeat(sk.scales / np.sqrt(sk.counts),
+                                         sk.counts))
+
+
 class TestCollapse:
+    """build_sketch keeps one column per sampled row, with its count."""
+
     def test_same_sketch_product_on_distinct_rows(self):
         rng = np.random.default_rng(12)
         sk = build_sketch(np.full(5, 1 / 5), 40, rng)
-        collapsed, inverse = sk.collapse()
-        np.testing.assert_array_equal(collapsed.indices,
-                                      np.unique(sk.indices))
-        np.testing.assert_array_equal(collapsed.indices[inverse], sk.indices)
-        np.testing.assert_allclose(collapsed.dense() @ collapsed.dense().T,
-                                   sk.dense() @ sk.dense().T, rtol=1e-12)
-        assert collapsed.spectral_norm_sq() == pytest.approx(
-            sk.spectral_norm_sq(), rel=1e-12)
+        full = per_sample(sk)
+        assert sk.n_samples == full.n_cols == 40
+        np.testing.assert_array_equal(sk.indices, np.unique(full.indices))
+        np.testing.assert_allclose(sk.dense() @ sk.dense().T,
+                                   full.dense() @ full.dense().T, rtol=1e-12)
 
     def test_distinct_rows_keep_their_scales(self):
-        sk = SketchMatrix(n_rows=6, indices=np.array([4, 1]),
-                          scales=np.array([0.5, 2.0]))
-        collapsed, inverse = sk.collapse()
-        np.testing.assert_array_equal(collapsed.indices, [1, 4])
-        np.testing.assert_allclose(collapsed.scales, [2.0, 0.5], rtol=1e-15)
-        np.testing.assert_array_equal(inverse, [1, 0])
+        # three samples of 1000 rows land on three distinct rows here, so
+        # each column is one sample at the per-sample scale
+        sk = build_sketch(np.full(1000, 1e-3), 3, np.random.default_rng(0))
+        np.testing.assert_array_equal(sk.counts, [1, 1, 1])
+        assert (np.diff(sk.indices) > 0).all()
+        np.testing.assert_allclose(sk.scales, np.sqrt(1000 / 3), rtol=1e-15)
 
 
 class TestEmbeddingCheck:
@@ -277,30 +287,14 @@ class TestStatisticalIdentity:
 
 
 class TestSpectralDiagnostic:
-    def test_exact_on_dense_form(self):
-        rng = np.random.default_rng(31)
-        sk = build_sketch(np.full(7, 1 / 7), 5, rng)
-        exact = np.linalg.norm(sk.dense(), 2) ** 2
-        assert sk.spectral_norm_sq() == pytest.approx(exact, rel=1e-12)
-
-    def test_duplicates_can_exceed_two_m_over_s(self):
-        # three draws landing on one row of a uniform profile push
-        # ||S||_2^2 to 3m/s, so the 2m/s figure is a diagnostic to report,
-        # not an invariant to assert
-        m, s = 4, 3
-        p = np.full(m, 1 / m)
-        sk = SketchMatrix(n_rows=m, indices=np.zeros(s, dtype=np.int64),
-                          scales=np.full(s, 1 / np.sqrt(s * p[0])))
-        assert sk.spectral_norm_sq() > 2 * m / s
-
     def test_scale_bound_for_shrinked_profiles(self):
-        # every individual column of S has squared scale <= 2m/s because
-        # shrinked scores are floored at 1/(2m)
+        # every sample of S has squared scale <= 2m/s because shrinked
+        # scores are floored at 1/(2m)
         rng = np.random.default_rng(8)
         u = orthonormal_basis(rng.standard_normal((9, 3)))
         prof = shrinked_row_scores(u)
         sk = build_sketch(prof, 6, rng)
-        assert (sk.scales**2 <= 2 * 9 / 6 + 1e-12).all()
+        assert (sk.scales**2 / sk.counts <= 2 * 9 / 6 + 1e-12).all()
 
 
 class TestNumericalRank:

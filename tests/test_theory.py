@@ -94,7 +94,7 @@ class TestDrawEmbeddingSketch:
         sketch, measured, draws = draw_embedding_sketch(a, s, rng, eps=0.5)
         assert measured <= 0.5
         assert draws >= 1
-        assert sketch.indices.size == s
+        assert sketch.n_samples == s
 
     def test_impossible_size_raises(self):
         rng = np.random.default_rng(1)
