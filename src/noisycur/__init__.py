@@ -20,9 +20,7 @@ from .observe import (
     BudgetLedger,
     InfeasiblePlanError,
     ObservationSet,
-    SamplingPlan,
     TwoCostModel,
-    plan_split,
     sample_columns,
     sample_entries,
     sample_rows_noisy,

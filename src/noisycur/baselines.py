@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix
-from .observe import ObservationSet, TwoCostModel, sample_entries
+from .observe import ObservationSet
 
 __all__ = [
     "PartialMatrix",
@@ -268,28 +268,32 @@ def curplus(c_cols, r_rows, obs: PartialMatrix) -> CurPlusFit:
     return CurPlusFit(estimate=c @ core @ r, middle=core)
 
 
-def chen_observe(a, model: TwoCostModel, phase1_fraction: float,
-                 rng: np.random.Generator, rank: int):
+def chen_observe(oracle, phase1_fraction: float, rng: np.random.Generator,
+                 rank: int):
     """Two-phase entry sampling: uniform scout pass, then leverage-guided pass.
 
-    Phase 1 spends phase1_fraction of the budget on uniform entry samples.
-    The zero-filled phase-1 matrix is truncated to ``rank`` and its singular
+    Both passes read entries through ``oracle`` (a harness.Oracle), which
+    charges each read to its budget before drawing it.  Phase 1 reads as
+    many uniform entries as phase1_fraction of the budget buys.  The
+    zero-filled phase-1 matrix is truncated to ``rank`` and its singular
     factors give estimated row and column leverage scores; phase 2 spends
-    the remaining budget on entries drawn from the product distribution
-    q_ij proportional to row_lev_i * col_lev_j.
+    what is left on entries drawn from the product distribution q_ij
+    proportional to row_lev_i * col_lev_j.  A budget that buys no phase-1
+    entry is refused with InfeasiblePlanError, as any empty read is.
 
     Returns (observations, info): the merged record, phase 1 first, and
     info with both phase counts and the estimated scores.
     """
-    a = as_matrix(a)
     if not 0 < phase1_fraction < 1:
         raise ValueError("phase1_fraction must be in (0, 1)")
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    n1 = int(math.floor(phase1_fraction * model.budget / model.entry_price))
-    if n1 < 1:
-        raise ValueError("budget too small for phase 1")
-    phase1 = sample_entries(a, n1, model.sigma_e, rng)
+    entry_price = oracle.model.entry_price
+    # phase1_fraction of the budget buys what the whole budget buys at
+    # entry_price / phase1_fraction
+    phase1 = oracle.entries(oracle.affordable(entry_price / phase1_fraction),
+                            rng)
+    n1 = len(phase1.entry_samples)
 
     scout = PartialMatrix.from_observations(phase1).dense_fill(0.0)
     u, sv, vt = np.linalg.svd(scout, full_matrices=False)
@@ -300,12 +304,10 @@ def chen_observe(a, model: TwoCostModel, phase1_fraction: float,
     col_lev = np.einsum("ij,ij->j", vt[:k], vt[:k])
     weights = np.outer(row_lev, col_lev)
 
-    n2 = int(math.floor((model.budget - n1 * model.entry_price)
-                        / model.entry_price))
+    n2 = oracle.affordable(entry_price)
     obs = phase1
     if n2 >= 1:
-        obs = phase1.merged(
-            sample_entries(a, n2, model.sigma_e, rng, weights=weights))
+        obs = phase1.merged(oracle.entries(n2, rng, weights=weights))
     info = {
         "phase1_count": n1,
         "phase2_count": len(obs.entry_samples) - n1,

@@ -34,7 +34,7 @@ from .linalg import (
     orthonormal_basis,
     shrinked_row_scores,
 )
-from .observe import SamplingPlan, sample_columns, sample_rows_noisy
+from .observe import sample_columns, sample_rows_noisy
 
 __all__ = [
     "NoisyCurConfig",
@@ -116,7 +116,6 @@ class Reconstruction:
     coefficients: np.ndarray
     column_indices: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-    plan: SamplingPlan | None = None
 
 
 def _svd_kernel(design: np.ndarray):
@@ -198,8 +197,8 @@ def _smallest_of_d(singular_values: np.ndarray, d: int) -> float:
     return float(singular_values[d - 1]) if d <= singular_values.size else 0.0
 
 
-def solve_from_draw(draw: NoisyCurDraw, ridge_lambda: float,
-                    plan: SamplingPlan | None = None) -> Reconstruction:
+def solve_from_draw(draw: NoisyCurDraw,
+                    ridge_lambda: float) -> Reconstruction:
     """Ridge-solve a draw and package the reconstruction with diagnostics.
 
     The solve runs on the sampled rows, whose Gram matrix is that of the
@@ -227,15 +226,14 @@ def solve_from_draw(draw: NoisyCurDraw, ridge_lambda: float,
         coefficients=x,
         column_indices=draw.column_indices,
         diagnostics=diagnostics,
-        plan=plan,
     )
 
 
-def noisycur(a, cfg: NoisyCurConfig, rng: np.random.Generator,
-             plan: SamplingPlan | None = None) -> Reconstruction:
+def noisycur(a, cfg: NoisyCurConfig,
+             rng: np.random.Generator) -> Reconstruction:
     """Full noisyCUR run on ``a`` under ``cfg``; see the module docstring."""
     draw = draw_noisycur_samples(a, cfg, rng)
-    return solve_from_draw(draw, cfg.ridge_lambda, plan=plan)
+    return solve_from_draw(draw, cfg.ridge_lambda)
 
 
 def guarantee_sample_sizes(rank: int, beta: float, kappa2: float,
@@ -278,13 +276,8 @@ def _fold_counts(counts: np.ndarray, n_folds: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Samples of each row in each fold, (rows, n_folds), drawn fold by fold
     with the law of cutting a random permutation of the samples as
-    np.array_split does; with one sample a row, that permutation is cut."""
+    np.array_split does."""
     out = np.zeros((counts.size, n_folds), dtype=np.int64)
-    if (counts == 1).all():
-        for f, rows in enumerate(np.array_split(rng.permutation(counts.size),
-                                                n_folds)):
-            out[rows, f] = 1
-        return out
     size, extra = divmod(int(counts.sum()), n_folds)
     left = counts.copy()
     for f in range(n_folds):

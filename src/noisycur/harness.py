@@ -5,6 +5,8 @@ one two-cost budget, selecting hyperparameters by cross-validation inside
 each cell, and returns one row per cell.  Algorithms whose output does not
 depend on the column-sample count d (pure entry samplers) execute once per
 trial and are replicated across the d axis so every curve shares an x-grid.
+A cell reads its matrix only through an Oracle, which charges the budget
+before every read and refuses a read the budget cannot pay for.
 
 Determinism contract: each cell owns a generator seeded by
 (master_seed, algorithm, d, trial), rows are assembled in sorted order, and
@@ -46,7 +48,6 @@ from .observe import (
     BudgetLedger,
     InfeasiblePlanError,
     TwoCostModel,
-    plan_split,
     sample_columns,
     sample_entries,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "load_config",
     "load_dataset",
     "build_cost_model",
+    "Oracle",
     "resolve_hyper",
     "run_single_cell",
     "run_sweep",
@@ -479,11 +481,79 @@ class SweepResult:
     feasible: bool
 
 
+class Oracle:
+    """Metered reads of one private matrix under one two-cost budget.
+
+    Every read charges ``ledger`` before it draws.  A read of fewer than
+    one sample, or one costing more than is left, raises
+    InfeasiblePlanError with nothing drawn and nothing charged.
+    """
+
+    def __init__(self, a, model: TwoCostModel):
+        self._a = as_matrix(a, "a")
+        self.model = model
+        self.ledger = BudgetLedger(model.budget)
+
+    def affordable(self, unit_price: float, reserved: float = 0.0) -> int:
+        """Reads at unit_price that the budget left, less reserved, buys."""
+        return int(math.floor((self.ledger.leftover - reserved) / unit_price
+                              + 1e-12))
+
+    def _pay(self, *reads):
+        """Charge every (kind, count, unit_price) read, or refuse them all."""
+        cost = 0.0
+        for kind, count, unit_price in reads:
+            if count < 1:
+                raise InfeasiblePlanError(f"read of {count} {kind} samples")
+            cost += count * unit_price
+            if cost > self.ledger.leftover + 1e-9:
+                raise InfeasiblePlanError(
+                    f"{count} {kind} samples: reads cost {cost}, "
+                    f"{self.ledger.leftover} left")
+        for read in reads:
+            self.ledger.charge(*read)
+
+    def columns(self, count: int, rng: np.random.Generator):
+        """observe.sample_columns: (c_tilde, indices), at column_price each."""
+        self._pay(("column", count, self.model.column_price))
+        return sample_columns(self._a, count, self.model.sigma_c, rng)
+
+    def rows(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """count full rows drawn uniformly with replacement, each entry read
+        through N(0, sigma_c^2) noise."""
+        m, n = self._a.shape
+        # A full noisy row gets the same discount fraction as a noisy
+        # column: alpha of its entrywise price.
+        self._pay(("row", count, self.model.column_price / m * n))
+        index = rng.integers(0, m, size=count)
+        return (self._a[index]
+                + self.model.sigma_c * rng.standard_normal((count, n)))
+
+    def entries(self, count: int, rng: np.random.Generator, weights=None):
+        """observe.sample_entries: an ObservationSet, at entry_price each."""
+        self._pay(("entry", count, self.model.entry_price))
+        return sample_entries(self._a, count, self.model.sigma_e, rng,
+                              weights=weights)
+
+    def noisycur(self, d: int, rng: np.random.Generator):
+        """completion.NoisyCurDraw of d noisy columns and as many sketched
+        rows s as the rest buys, each charged its n entries."""
+        n = self._a.shape[1]
+        column_price = self.model.column_price
+        s = self.affordable(n * self.model.entry_price,
+                            reserved=d * column_price)
+        self._pay(("column", d, column_price),
+                  ("entry", s * n, self.model.entry_price))
+        cfg = NoisyCurConfig(n_columns=d, n_rows=s,
+                             sigma_c=self.model.sigma_c,
+                             sigma_e=self.model.sigma_e, ridge_lambda=0.0)
+        return draw_noisycur_samples(self._a, cfg, rng)
+
+
 @dataclass
 class _CellOutcome:
     estimate: np.ndarray
     n_sketch_rows: int
-    ledger: BudgetLedger
     hyperparams: dict
 
 
@@ -567,99 +637,57 @@ def _fit_entry_delta(pm: PartialMatrix, sigma_e: float,
                  "cv_converged": cv_converged}
 
 
-def _run_ncur(a, model: TwoCostModel, d: int, rng: np.random.Generator,
+def _run_ncur(oracle: Oracle, d: int, rng: np.random.Generator,
               hyper: dict) -> _CellOutcome:
-    m, n = a.shape
-    plan = plan_split(model, n, d)
-    if plan.n_rows < 1:
-        raise InfeasiblePlanError(f"no budget left for sketched rows at d={d}")
-    grid = np.asarray(hyper["lambda_grid"], dtype=np.float64)
-    cfg = NoisyCurConfig(n_columns=d, n_rows=plan.n_rows,
-                         sigma_c=model.sigma_c, sigma_e=model.sigma_e,
-                         ridge_lambda=0.0)
-    draw = draw_noisycur_samples(a, cfg, rng)
-    best, _, folds = draw.cross_validate(grid, int(hyper["cv_folds"]))
-    rec = solve_from_draw(draw, best, plan=plan)
-
-    ledger = BudgetLedger(model.budget)
-    ledger.charge("column", rec.c_tilde.shape[1], model.column_price)
-    ledger.charge("entry", draw.sketch.n_samples * n, model.entry_price)
+    draw = oracle.noisycur(d, rng)
+    best, _, folds = draw.cross_validate(hyper["lambda_grid"],
+                                         int(hyper["cv_folds"]))
+    rec = solve_from_draw(draw, best)
     return _CellOutcome(
-        estimate=rec.estimate, n_sketch_rows=plan.n_rows, ledger=ledger,
+        estimate=rec.estimate, n_sketch_rows=draw.sketch.n_samples,
         hyperparams={"ridge_lambda": best, "cv_folds": folds},
     )
 
 
-def _run_curplus(a, model: TwoCostModel, d: int, rng: np.random.Generator,
+def _run_curplus(oracle: Oracle, d: int, rng: np.random.Generator,
                  hyper: dict) -> _CellOutcome:
-    m, n = a.shape
-    if d < 2:
-        raise InfeasiblePlanError(
-            "curplus needs at least one column and one row sample (d >= 2)")
     n_c = (d + 1) // 2
     n_r = d - n_c
-    # A full noisy row gets the same discount fraction as a noisy column:
-    # alpha of its entrywise price.
-    row_price = model.column_price / m * n
-    fixed = n_c * model.column_price + n_r * row_price
-    if fixed > model.budget + 1e-9:
-        raise InfeasiblePlanError(
-            f"curplus samples at d={d} cost {fixed}, budget {model.budget}")
-    n_entries = int(math.floor((model.budget - fixed) / model.entry_price
-                               + 1e-12))
-    if n_entries < 1:
-        raise InfeasiblePlanError(f"no budget left for core entries at d={d}")
-
-    c_tilde, _ = sample_columns(a, n_c, model.sigma_c, rng)
-    row_idx = rng.integers(0, m, size=n_r)
-    r_rows = a[row_idx] + model.sigma_c * rng.standard_normal((n_r, n))
-    entries = sample_entries(a, n_entries, model.sigma_e, rng)
+    c_tilde, _ = oracle.columns(n_c, rng)
+    r_rows = oracle.rows(n_r, rng)
+    n_entries = oracle.affordable(oracle.model.entry_price)
+    entries = oracle.entries(n_entries, rng)
     fit = curplus(c_tilde, r_rows, PartialMatrix.from_observations(entries))
-
-    ledger = BudgetLedger(model.budget)
-    ledger.charge("column", c_tilde.shape[1], model.column_price)
-    ledger.charge("row", r_rows.shape[0], row_price)
-    ledger.charge("entry", len(entries.entry_samples), model.entry_price)
     return _CellOutcome(
-        estimate=fit.estimate, n_sketch_rows=n_r, ledger=ledger,
+        estimate=fit.estimate, n_sketch_rows=n_r,
         hyperparams={"n_col_samples": n_c, "n_row_samples": n_r,
                      "n_entry_samples": n_entries},
     )
 
 
-def _run_nna(a, model: TwoCostModel, d: int, rng: np.random.Generator,
+def _run_nna(oracle: Oracle, d: int, rng: np.random.Generator,
              hyper: dict) -> _CellOutcome:
-    n_entries = int(math.floor(model.budget / model.entry_price + 1e-12))
-    if n_entries < 1:
-        raise InfeasiblePlanError("budget buys no entry observations")
-    obs = sample_entries(a, n_entries, model.sigma_e, rng)
-    pm = PartialMatrix.from_observations(obs)
-    fit, record = _fit_entry_delta(pm, model.sigma_e, rng, hyper)
-
-    ledger = BudgetLedger(model.budget)
-    ledger.charge("entry", len(obs.entry_samples), model.entry_price)
+    n_entries = oracle.affordable(oracle.model.entry_price)
+    pm = PartialMatrix.from_observations(oracle.entries(n_entries, rng))
+    fit, record = _fit_entry_delta(pm, oracle.model.sigma_e, rng, hyper)
     return _CellOutcome(
-        estimate=fit.matrix, n_sketch_rows=0, ledger=ledger,
+        estimate=fit.matrix, n_sketch_rows=0,
         hyperparams={**record, "n_entry_samples": n_entries},
     )
 
 
-def _run_chen(a, model: TwoCostModel, d: int, rng: np.random.Generator,
+def _run_chen(oracle: Oracle, d: int, rng: np.random.Generator,
               hyper: dict) -> _CellOutcome:
     rank = hyper["rank"]
     if rank is None:
         raise ConfigError("chen needs a scout rank (hyper.chen.rank); "
                           "run_sweep fills it from the dataset")
-    obs, info = chen_observe(a, model, float(hyper["phase1_fraction"]),
-                             rng, int(rank))
+    obs, info = chen_observe(oracle, float(hyper["phase1_fraction"]), rng,
+                             int(rank))
     pm = PartialMatrix.from_observations(obs)
-    fit, record = _fit_entry_delta(pm, model.sigma_e, rng, hyper)
-
-    ledger = BudgetLedger(model.budget)
-    ledger.charge("entry", info["phase1_count"] + info["phase2_count"],
-                  model.entry_price)
+    fit, record = _fit_entry_delta(pm, oracle.model.sigma_e, rng, hyper)
     return _CellOutcome(
-        estimate=fit.matrix, n_sketch_rows=0, ledger=ledger,
+        estimate=fit.matrix, n_sketch_rows=0,
         hyperparams={**record, "phase1_count": info["phase1_count"],
                      "phase2_count": info["phase2_count"],
                      "scout_rank": int(rank)},
@@ -688,22 +716,24 @@ def run_single_cell(a, model: TwoCostModel, algorithm: str, d: int,
                     seed: int, hyper: dict | None = None) -> dict:
     """Execute one sweep cell from its recorded seed.
 
-    Returns a plain row dict (s, rel_error, abs_error_sq, spent, leftover,
-    hyperparams, wall_ms, feasible).  Infeasible plans come back with
-    feasible = False and NaN errors instead of raising, so sweeps continue
-    past them.  Budget violations, by contrast, always raise: they mean
-    the driver observed more than it paid for.
+    The driver reads the matrix only through an Oracle over ``model``, so
+    it cannot spend more than the budget: a read the budget cannot pay
+    for is refused before it draws.  Returns a plain row dict (s,
+    rel_error, abs_error_sq, spent, leftover, hyperparams, wall_ms,
+    feasible); spent and leftover are the oracle ledger's.  A refused read
+    comes back as a row with feasible = False, NaN errors and nothing
+    spent instead of raising, so sweeps continue past it.
     """
     if algorithm not in _DRIVERS:
         raise ConfigError(f"unknown algorithm '{algorithm}'; "
                           f"choose from {ALGORITHM_NAMES}")
     if hyper is None:
         hyper = resolve_hyper(algorithm)
-    a = as_matrix(a, "a")
+    oracle = Oracle(a, model)
     rng = np.random.default_rng(int(seed))
     start = time.perf_counter()
     try:
-        outcome = _DRIVERS[algorithm](a, model, int(d), rng, hyper)
+        outcome = _DRIVERS[algorithm](oracle, int(d), rng, hyper)
     except InfeasiblePlanError as exc:
         wall_ms = (time.perf_counter() - start) * 1e3
         return {
@@ -713,7 +743,6 @@ def run_single_cell(a, model: TwoCostModel, algorithm: str, d: int,
                                       sort_keys=True),
             "wall_ms": wall_ms, "feasible": False,
         }
-    outcome.ledger.assert_within_budget()
     metrics = error_metrics(a, outcome.estimate)
     wall_ms = (time.perf_counter() - start) * 1e3
     hyperparams = {k: _jsonable(v) for k, v in outcome.hyperparams.items()}
@@ -721,8 +750,8 @@ def run_single_cell(a, model: TwoCostModel, algorithm: str, d: int,
         "s": int(outcome.n_sketch_rows),
         "rel_error": metrics["rel_error"],
         "abs_error_sq": metrics["abs_error_sq"],
-        "spent": outcome.ledger.spent,
-        "leftover": outcome.ledger.leftover,
+        "spent": oracle.ledger.spent,
+        "leftover": oracle.ledger.leftover,
         "hyperparams": json.dumps(hyperparams, sort_keys=True),
         "wall_ms": wall_ms,
         "feasible": True,

@@ -2,10 +2,11 @@
 
 Column samples cost column_price each and are read through i.i.d. additive
 N(0, sigma_c^2) noise; entry samples cost entry_price each with N(0,
-sigma_e^2) noise, sigma_e < sigma_c.  A budget B buys d column samples plus
-s full sketched rows (n entries per row), and s is always floored from
-whatever is left after the columns.  Noise is regenerated per observation:
+sigma_e^2) noise, sigma_e < sigma_c.  Noise is regenerated per observation:
 sampling the same column or cell twice yields independent noise draws.
+The samplers here read a matrix without charging anything; a sweep reads
+through harness.Oracle, which charges a BudgetLedger before every read and
+refuses, with InfeasiblePlanError, a read the budget cannot pay for.
 
 noisyCUR's sketch holds per-row counts k_u (linalg.build_sketch), and
 sample_rows_noisy reads each sampled row once at the sketch's scale with
@@ -23,10 +24,8 @@ from .linalg import SketchMatrix, apply_sketch_transpose, as_matrix
 __all__ = [
     "InfeasiblePlanError",
     "TwoCostModel",
-    "SamplingPlan",
     "ObservationSet",
     "BudgetLedger",
-    "plan_split",
     "sample_columns",
     "sample_rows_noisy",
     "sample_entries",
@@ -35,7 +34,7 @@ __all__ = [
 
 
 class InfeasiblePlanError(ValueError):
-    """Requested column count alone exceeds the budget."""
+    """A read of fewer than one sample, or one the budget cannot pay for."""
 
 
 @dataclass(frozen=True)
@@ -70,56 +69,6 @@ class TwoCostModel:
                 f"column_price {self.column_price} must be below "
                 f"{n_rows} * entry_price = {n_rows * self.entry_price}"
             )
-
-    @property
-    def column_entries_equivalent(self) -> float:
-        """How many entry reads one column read costs: column_price / entry_price."""
-        return self.column_price / self.entry_price
-
-    def column_price_fraction(self, n_rows: int) -> float:
-        """Column price as a fraction of reading the column entrywise."""
-        return self.column_price / (n_rows * self.entry_price)
-
-
-@dataclass(frozen=True)
-class SamplingPlan:
-    """Resolved budget split: d column samples and s sketched rows."""
-
-    n_columns: int
-    n_rows: int
-    spent: float
-    leftover: float
-
-    def __post_init__(self):
-        if self.n_columns < 0:
-            raise ValueError("column count cannot be negative")
-        if self.n_rows < 0:
-            raise ValueError("row count cannot be negative")
-        if self.leftover < -1e-9:
-            raise ValueError("plan overspends its budget")
-
-
-def plan_split(model: TwoCostModel, n_cols: int, d: int) -> SamplingPlan:
-    """Split the budget into d column samples plus as many full rows as fit.
-
-    s = floor((B - d * column_price) / (n * entry_price)).  d = 0 sends the
-    whole budget to rows.  Raises InfeasiblePlanError when the columns alone
-    cost more than B.
-    """
-    if d < 0:
-        raise ValueError("column count cannot be negative")
-    if n_cols < 1:
-        raise ValueError("need a positive ambient column count")
-    col_cost = d * model.column_price
-    if col_cost > model.budget + 1e-9:
-        raise InfeasiblePlanError(
-            f"{d} column samples cost {col_cost}, budget is {model.budget}"
-        )
-    row_cost = n_cols * model.entry_price
-    s = int(math.floor((model.budget - col_cost) / row_cost + 1e-12))
-    spent = col_cost + s * row_cost
-    return SamplingPlan(n_columns=d, n_rows=s, spent=spent,
-                        leftover=model.budget - spent)
 
 
 ENTRY_DTYPE = np.dtype([("row", np.int64), ("col", np.int64),
@@ -181,16 +130,6 @@ class BudgetLedger:
     @property
     def leftover(self) -> float:
         return self.budget - self.spent
-
-    def within_budget(self, slack: float = 1e-9) -> bool:
-        return self.spent <= self.budget + slack
-
-    def assert_within_budget(self):
-        if not self.within_budget():
-            raise RuntimeError(
-                f"budget violation: spent {self.spent} of {self.budget} "
-                f"({self.charges})"
-            )
 
 
 def sample_columns(a, d: int, sigma_c: float, rng: np.random.Generator):

@@ -12,7 +12,7 @@ from noisycur.baselines import (
     svt,
 )
 from noisycur.datasets import synthetic_lowrank
-from noisycur.harness import resolve_hyper, run_single_cell
+from noisycur.harness import Oracle, resolve_hyper, run_single_cell
 from noisycur.observe import ObservationSet, TwoCostModel, sample_entries
 
 
@@ -273,9 +273,12 @@ class TestChenObserve:
         return TwoCostModel(entry_price=1.0, column_price=4.0,
                             sigma_e=0.0, sigma_c=1.0, budget=budget)
 
+    def oracle(self, a, budget):
+        return Oracle(a, self.model(budget))
+
     def test_phase_counts_split_budget(self):
         a = synthetic_lowrank(12, 10, 2, rng=np.random.default_rng(0))
-        obs, info = chen_observe(a, self.model(100.0), 0.5,
+        obs, info = chen_observe(self.oracle(a, 100.0), 0.5,
                                  np.random.default_rng(1), rank=2)
         assert info["phase1_count"] == 50
         assert info["phase2_count"] == 50
@@ -283,7 +286,7 @@ class TestChenObserve:
 
     def test_budget_respected_odd_fraction(self):
         a = synthetic_lowrank(12, 10, 2, rng=np.random.default_rng(0))
-        obs, info = chen_observe(a, self.model(97.0), 0.35,
+        obs, info = chen_observe(self.oracle(a, 97.0), 0.35,
                                  np.random.default_rng(2), rank=2)
         n1, n2 = info["phase1_count"], info["phase2_count"]
         assert n1 == 33  # floor(0.35 * 97)
@@ -293,7 +296,7 @@ class TestChenObserve:
         # one row carries nearly all the mass; phase-2 samples concentrate on it
         a = np.full((10, 10), 1e-3)
         a[4] = 10.0
-        obs, info = chen_observe(a, self.model(400.0), 0.5,
+        obs, info = chen_observe(self.oracle(a, 400.0), 0.5,
                                  np.random.default_rng(3), rank=1)
         p2_rows = obs.entry_samples["row"][info["phase1_count"]:]
         assert np.count_nonzero(p2_rows == 4) > 0.5 * len(p2_rows)
@@ -301,12 +304,12 @@ class TestChenObserve:
     def test_bad_fraction(self):
         a = np.ones((4, 4))
         with pytest.raises(ValueError):
-            chen_observe(a, self.model(50.0), 1.0, np.random.default_rng(0), 1)
+            chen_observe(self.oracle(a, 50.0), 1.0, np.random.default_rng(0), 1)
 
     def test_all_zero_phase1_rejected(self):
         a = np.zeros((5, 5))
         with pytest.raises(ValueError):
-            chen_observe(a, self.model(30.0), 0.5, np.random.default_rng(0), 1)
+            chen_observe(self.oracle(a, 30.0), 0.5, np.random.default_rng(0), 1)
 
     def test_end_to_end_solver(self):
         # one delta factor, so no CV: delta = sqrt(#cells) * sigma_e

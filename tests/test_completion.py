@@ -489,14 +489,24 @@ class TestCrossValidateLambda:
         assert folds == 0  # one value: nothing to split for
 
     def test_pure_noise_prefers_largest(self):
-        rng = np.random.default_rng(42)
-        b = rng.standard_normal((30, 4))
-        y = rng.standard_normal((30, 5))  # no signal: best predictor is 0
+        # No signal, so the best predictor is 0 and the curve is flat where
+        # X is fully shrunk: which top grid point wins is noise (the last
+        # one at about half of all seeds), so every seed must pick from the
+        # top half.  On average the fully shrunk end beats the lightest
+        # ridge, whose held-out error exceeds it by about 4/19 (4 columns
+        # fitted on 24 training rows).
         grid = np.logspace(-4, 6, 15)
-        best, curve, _ = cross_validate_lambda(b, y, grid, rng)
-        assert best == grid[-1]
-        # curve flattens at the top end where X is fully shrunk
-        assert curve[-1] <= curve[0]
+        picks, curves = [], []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            b = rng.standard_normal((30, 4))
+            y = rng.standard_normal((30, 5))
+            best, curve, _ = cross_validate_lambda(b, y, grid, rng)
+            picks.append(best)
+            curves.append(curve)
+        assert min(picks) >= grid[7]
+        mean = np.mean(curves, axis=0)
+        assert mean[-1] < 0.9 * mean[0]
 
     def test_noiseless_prefers_smallest(self):
         rng = np.random.default_rng(11)

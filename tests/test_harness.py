@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import noisycur.harness as harness
 from noisycur.harness import (
@@ -16,6 +17,7 @@ from noisycur.harness import (
     D_INDEPENDENT,
     ConfigError,
     ExperimentConfig,
+    Oracle,
     SweepResult,
     build_cost_model,
     config_from_dict,
@@ -32,7 +34,7 @@ from noisycur.harness import (
     write_resolved_config,
 )
 from noisycur.baselines import PartialMatrix
-from noisycur.observe import sample_entries
+from noisycur.observe import InfeasiblePlanError, TwoCostModel, sample_entries
 from noisycur.rng import cell_seed
 
 TINY_RAW = {
@@ -341,6 +343,121 @@ class TestRunSingleCell:
             run_single_cell(self.a, self.model, "svd", 2, seed=0)
 
 
+def small_model(budget, m=12, entry_price=1.0):
+    return TwoCostModel(entry_price=entry_price,
+                        column_price=0.2 * m * entry_price, sigma_e=0.1,
+                        sigma_c=math.sqrt(0.05), budget=budget)
+
+
+class TestOracle:
+    """Each read charges before it draws; a refused read draws and charges
+    nothing."""
+
+    def oracle(self, budget):
+        a = np.arange(96.0).reshape(12, 8)
+        return Oracle(a, small_model(budget))
+
+    def test_reads_charge_their_prices(self):
+        oracle = self.oracle(100.0)
+        rng = np.random.default_rng(0)
+        c_tilde, _ = oracle.columns(2, rng)
+        r_rows = oracle.rows(1, rng)
+        obs = oracle.entries(oracle.affordable(1.0), rng)
+        assert c_tilde.shape == (12, 2) and r_rows.shape == (1, 8)
+        # a full row costs what a column does per entry: 2.4 / 12 * 8
+        assert oracle.ledger.charges == [("column", 2, pytest.approx(2.4)),
+                                         ("row", 1, pytest.approx(1.6)),
+                                         ("entry", 93, 1.0)]
+        assert len(obs.entry_samples) == 93  # floor(100 - 4.8 - 1.6)
+        assert oracle.ledger.leftover == pytest.approx(0.6)
+
+    def test_noisycur_pays_for_every_sketched_entry(self):
+        oracle = self.oracle(100.0)
+        draw = oracle.noisycur(3, np.random.default_rng(1))
+        # 100 - 3 * 2.4 = 92.8 buys 11 rows of 8 entries
+        assert draw.sketch.n_samples == 11
+        assert oracle.ledger.charges == [("column", 3, pytest.approx(2.4)),
+                                         ("entry", 88, 1.0)]
+
+    READS = {
+        "columns": (lambda o, k, rng: o.columns(k, rng), 40),
+        "rows": (lambda o, k, rng: o.rows(k, rng), 60),
+        "entries": (lambda o, k, rng: o.entries(k, rng), 91),
+        "noisycur": (lambda o, k, rng: o.noisycur(k, rng), 40),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(READS))
+    @pytest.mark.parametrize("too_many", [False, True],
+                             ids=["empty", "overspend"])
+    def test_refused_read_draws_and_charges_nothing(self, kind, too_many):
+        read, over = self.READS[kind]
+        oracle = self.oracle(100.0)
+        rng = np.random.default_rng(3)
+        oracle.entries(10, rng)  # something already spent
+        charges, state = list(oracle.ledger.charges), rng.bit_generator.state
+        with pytest.raises(InfeasiblePlanError):
+            read(oracle, over if too_many else 0, rng)
+        assert oracle.ledger.charges == charges
+        assert rng.bit_generator.state == state
+
+    def test_noisycur_without_a_sketched_row_charges_nothing(self):
+        # 24 columns leave 100 - 57.6 - 40 = 2.4, less than one 8-entry row
+        oracle = self.oracle(100.0)
+        rng = np.random.default_rng(4)
+        oracle.entries(40, rng)
+        state = rng.bit_generator.state
+        with pytest.raises(InfeasiblePlanError):
+            oracle.noisycur(24, rng)
+        assert oracle.ledger.charges == [("entry", 40, 1.0)]
+        assert rng.bit_generator.state == state
+
+    def test_matrix_is_private(self):
+        public = [k for k in vars(self.oracle(10.0)) if not k.startswith("_")]
+        assert sorted(public) == ["ledger", "model"]
+
+
+SPEND_HYPER = {
+    "ncur": {"lambda_grid": [1e-3, 1e-1, 10.0], "cv_folds": 3},
+    "curplus": {},
+    "nna": {"delta_factors": [1.0], "max_iters": 200},
+    "chen": {"rank": 2, "delta_factors": [1.0], "max_iters": 200},
+}
+
+
+def reads_cost(algorithm, d, row, model, shape):
+    """What a row's own record says its reads cost."""
+    m, n = shape
+    hp = json.loads(row["hyperparams"])
+    if algorithm == "ncur":
+        return d * model.column_price + row["s"] * n * model.entry_price
+    if algorithm == "curplus":
+        return (hp["n_col_samples"] * model.column_price
+                + hp["n_row_samples"] * model.column_price / m * n
+                + hp["n_entry_samples"] * model.entry_price)
+    if algorithm == "nna":
+        return hp["n_entry_samples"] * model.entry_price
+    return (hp["phase1_count"] + hp["phase2_count"]) * model.entry_price
+
+
+class TestSpendMatchesReads:
+    @given(st.floats(1.0, 300.0), st.integers(1, 6),
+           st.sampled_from([1.0, 1.3]))
+    @settings(max_examples=30, deadline=None)
+    def test_spent_is_what_the_reads_cost(self, budget, d, entry_price):
+        a = np.random.default_rng(0).standard_normal((12, 8)) + 5.0
+        model = small_model(budget, entry_price=entry_price)
+        for alg, overrides in SPEND_HYPER.items():
+            row = run_single_cell(a, model, alg, d, seed=d,
+                                  hyper=resolve_hyper(alg, overrides))
+            assert row["spent"] + row["leftover"] == pytest.approx(budget)
+            if not row["feasible"]:
+                assert row["spent"] == 0.0
+                continue
+            assert row["spent"] <= budget + 1e-9
+            cost = reads_cost(alg, d, row, model, a.shape)
+            assert row["spent"] == pytest.approx(cost, rel=1e-12), alg
+
+
 class TestHoldoutSplit:
     def pm(self):
         obs = sample_entries(np.arange(48.0).reshape(6, 8), 60, 0.1,
@@ -421,6 +538,21 @@ class TestRunSweep:
         for r in rows:
             key_d = "*" if r.algorithm in D_INDEPENDENT else r.d
             assert r.seed == cell_seed(7, r.algorithm, key_d, r.trial)
+
+    def test_chen_at_a_tiny_budget_is_an_infeasible_row(self):
+        # half of 1.5 buys no phase-1 entry: the read is refused, and the
+        # sweep goes on past it
+        raw = {"dataset": {"kind": "synthetic", "n_rows": 20, "n_cols": 10,
+                           "rank": 2},
+               "cost": {"budget": 1.5},
+               "sweep": {"d_grid": [2], "n_trials": 1,
+                         "algorithms": ["nna", "chen"]}}
+        rows = {r.algorithm: r for r in run_sweep(config_from_dict(raw))}
+        assert not rows["chen"].feasible
+        assert rows["chen"].spent == 0.0
+        assert "infeasible" in json.loads(rows["chen"].hyperparams)
+        assert rows["nna"].feasible
+        assert rows["nna"].spent == 1.0
 
     def test_budget_respected_everywhere(self):
         cfg = tiny_config()

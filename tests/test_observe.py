@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noisycur.harness import Oracle
 from noisycur.linalg import SketchMatrix
 from noisycur.observe import (
     BudgetLedger,
     InfeasiblePlanError,
     ObservationSet,
     TwoCostModel,
-    plan_split,
     sample_columns,
     sample_entries,
     sample_rows_noisy,
@@ -40,51 +40,68 @@ class TestTwoCostModel:
         m_rows, alpha, p_e = 20, 0.2, 1.0
         model = model_with(50.0, p_c=alpha * m_rows * p_e, p_e=p_e)
         assert model.column_price == pytest.approx(4.0)
-        assert model.column_price_fraction(m_rows) == pytest.approx(alpha)
-        assert model.column_entries_equivalent == pytest.approx(4.0)
+
+
+def split(budget, n, d, m=12):
+    """noisyCUR's budget split through Oracle.noisycur on an m x n matrix:
+    (columns read, sketched rows read, oracle)."""
+    oracle = Oracle(np.ones((m, n)), model_with(budget))
+    draw = oracle.noisycur(d, np.random.default_rng(0))
+    return draw.c_tilde.shape[1], draw.sketch.n_samples, oracle
 
 
 class TestPlanSplit:
+    """The budget split of noisyCUR's read: d columns, then as many full
+    sketched rows as the rest buys."""
+
     def test_exact_split(self):
-        plan = plan_split(model_with(100.0), n_cols=10, d=5)
-        assert plan.n_rows == 8
-        assert plan.spent == pytest.approx(100.0)
-        assert plan.leftover == pytest.approx(0.0)
+        d, s, oracle = split(100.0, n=10, d=5)
+        assert (d, s) == (5, 8)
+        assert oracle.ledger.spent == pytest.approx(100.0)
+        assert oracle.ledger.leftover == pytest.approx(0.0)
 
     def test_d_zero_all_rows(self):
-        plan = plan_split(model_with(100.0), n_cols=10, d=0)
-        assert plan.n_columns == 0
-        assert plan.n_rows == 10
+        # no column read: refused, and the whole budget buys 10 rows
+        oracle = Oracle(np.ones((12, 10)), model_with(100.0))
+        with pytest.raises(InfeasiblePlanError):
+            oracle.noisycur(0, np.random.default_rng(0))
+        assert oracle.affordable(10 * oracle.model.entry_price) == 10
 
     def test_infeasible(self):
         with pytest.raises(InfeasiblePlanError):
-            plan_split(model_with(10.0), n_cols=10, d=5)
+            split(10.0, n=10, d=5)
 
     def test_leftover_when_rows_do_not_divide(self):
-        plan = plan_split(model_with(103.0), n_cols=10, d=5)
-        assert plan.n_rows == 8
-        assert plan.leftover == pytest.approx(3.0)
+        _, s, oracle = split(103.0, n=10, d=5)
+        assert s == 8
+        assert oracle.ledger.leftover == pytest.approx(3.0)
 
     @given(st.floats(10.0, 500.0), st.integers(1, 20), st.integers(1, 10))
     @settings(max_examples=100, deadline=None)
     def test_never_overspends_and_reconstructs(self, budget, n, d):
         model = model_with(budget)
         try:
-            plan = plan_split(model, n_cols=n, d=d)
+            d_read, s, oracle = split(budget, n=n, d=d)
         except InfeasiblePlanError:
-            assert d * model.column_price > budget + 1e-9
+            assert (d * model.column_price > budget + 1e-9
+                    or budget - d * model.column_price < n * model.entry_price)
             return
-        assert plan.spent <= budget + 1e-9
-        recon = (plan.n_columns * model.column_price
-                 + plan.n_rows * n * model.entry_price)
-        assert recon == pytest.approx(plan.spent)
+        assert d_read == d and s >= 1
+        assert oracle.ledger.spent <= budget + 1e-9
+        recon = d * model.column_price + s * n * model.entry_price
+        assert recon == pytest.approx(oracle.ledger.spent)
+        assert oracle.ledger.spent + oracle.ledger.leftover == \
+            pytest.approx(budget)
 
     @given(st.integers(1, 15), st.integers(1, 12))
     @settings(max_examples=80, deadline=None)
     def test_cost_monotonicity_in_d(self, n, d):
         model = model_with(400.0)
-        s_here = plan_split(model, n_cols=n, d=d).n_rows
-        s_next = plan_split(model, n_cols=n, d=d + 1).n_rows
+        try:
+            _, s_next, _ = split(400.0, n=n, d=d + 1)
+        except InfeasiblePlanError:
+            return  # no sketched row left to buy at d + 1
+        _, s_here, _ = split(400.0, n=n, d=d)
         assert s_next <= s_here
         # one extra column displaces at least floor(p_c / (n p_e)) rows...
         # only when the floor boundary lines up; weak direction always holds
@@ -225,15 +242,15 @@ class TestBudgetLedger:
         led.charge("entry", 30, 1.0)
         assert led.spent == pytest.approx(50.0)
         assert led.leftover == pytest.approx(0.0)
-        assert led.within_budget()
-        led.assert_within_budget()
 
     def test_violation_raises(self):
-        led = BudgetLedger(10.0)
-        led.charge("entry", 11, 1.0)
-        assert not led.within_budget()
-        with pytest.raises(RuntimeError):
-            led.assert_within_budget()
+        # an overspend is refused at the read, before it is drawn or charged
+        oracle = Oracle(np.ones((4, 4)), model_with(10.0))
+        with pytest.raises(InfeasiblePlanError):
+            oracle.entries(11, np.random.default_rng(0))
+        assert oracle.ledger.charges == []
+        oracle.entries(10, np.random.default_rng(0))
+        assert oracle.ledger.leftover == pytest.approx(0.0)
 
 
 class TestSnr:
