@@ -243,13 +243,68 @@ class CurPlusFit:
     middle: np.ndarray
 
 
+def _pinv_factor(gram: np.ndarray, size: int) -> np.ndarray:
+    """F with F F^T the pseudo-inverse of a symmetric positive semidefinite
+    Gram matrix.
+
+    Eigenvalues at or below size * eps * lambda_max are dropped, below
+    which eigh cannot resolve an eigenvalue.  For a Gram D^T D or D D^T
+    that drops every singular value of D at or below
+    sqrt(size * eps) * sigma_max, not lstsq's size * eps * sigma_max.  A
+    zero Gram gives an empty F, so a zero pseudo-inverse.
+    """
+    vals, vecs = np.linalg.eigh(gram)
+    cutoff = size * np.finfo(np.float64).eps * vals.max(initial=0.0)
+    kept = np.searchsorted(vals, cutoff, side="right")  # vals ascend
+    return vecs[:, kept:] / np.sqrt(vals[kept:])
+
+
+def _kron_gram(c: np.ndarray, r: np.ndarray, obs: PartialMatrix) -> np.ndarray:
+    """D^T D for the CUR+ design D, whose rows are kron(c_i, r_j) over the
+    observed cells (i, j): sum over cells of (c_i c_i^T) kron (r_j r_j^T).
+
+    That sum is P^T W Q, with P = rows c_i kron c_i (m x d1^2), Q = rows
+    r_j kron r_j (n x d2^2) and W the 0/1 mask of the cells, reordered from
+    (a, a', b, b') to (a, b, a', b').
+    """
+    (m, d1), (d2, n) = c.shape, r.shape
+    mask = np.zeros((m, n))
+    mask[obs.rows, obs.cols] = 1.0
+    p = (c[:, :, None] * c[:, None, :]).reshape(m, d1 * d1)
+    q = (r.T[:, :, None] * r.T[:, None, :]).reshape(n, d2 * d2)
+    gram = ((mask.T @ p).T @ q).reshape(d1, d1, d2, d2)
+    return gram.transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2)
+
+
 def curplus(c_cols, r_rows, obs: PartialMatrix) -> CurPlusFit:
     """Fit the CUR+ core: min_U sum over observed cells of (C U R - value)^2.
 
     c_cols is the noisy m x d1 column matrix, r_rows the noisy d2 x n row
     matrix, and obs the accurate entry observations the core is fitted on.
-    The least-squares system is solved in vectorized form with the
-    minimum-norm solution when underdetermined.
+    The answer is the minimum-norm least-squares core, x = D^+ y, where the
+    design D has one row kron(c_i, r_j) per observed cell (i, j) and y holds
+    the cell means.  D itself is never built.
+
+    With at least as many cells as unknowns the solve runs on the d1*d2
+    normal equations, whose Gram D^T D is built from Kronecker-structured
+    products of C and R (_kron_gram).  With fewer cells it runs on the
+    cells x cells kernel D D^T, whose entry (k, l) is (c_i . c_i')
+    (r_j . r_j'), and x = D^T z.  There D^T D would have a null space of
+    d1*d2 - cells dimensions, whose roundoff eigenvalues blur the
+    eigenvectors of the smallest real ones; the kernel has none, and it is
+    the smaller matrix.  D^T s is vec(sum over cells of s_k c_i r_j^T) and
+    D x the per-cell c_i^T X r_j.  Either Gram is pseudo-inverted once
+    (_pinv_factor), and one step of iterative refinement on the residual
+    y - D x wins back the accuracy that forming a Gram, which squares D's
+    condition number, costs.
+
+    Directions of D with singular values at or below
+    sqrt(max(cells, d1*d2) * eps) times the largest are dropped
+    (_pinv_factor), where lstsq would keep them down to
+    max(cells, d1*d2) * eps.  So the core is D^+ y only while D's
+    condition number stays below 1 / sqrt(max(cells, d1*d2) * eps), which
+    is 3e5 at 40000 cells and 1e7 at 25; past that it is the truncated
+    minimum-norm solution, and it can differ from lstsq's.
     """
     c = as_matrix(c_cols, "columns")
     r = as_matrix(r_rows, "rows")
@@ -259,12 +314,26 @@ def curplus(c_cols, r_rows, obs: PartialMatrix) -> CurPlusFit:
     if c.shape[0] != m or r.shape[1] != n:
         raise ValueError("column/row factors do not match the observation shape")
     d1, d2 = c.shape[1], r.shape[0]
+    size = max(obs.n_cells, d1 * d2)
 
-    # Row k is vec(outer(c[i], r[:, j])) for the k-th observed cell (i, j).
-    design = (c[obs.rows][:, :, None] * r[:, obs.cols].T[:, None, :]
-              ).reshape(obs.n_cells, d1 * d2)
-    core_flat = np.linalg.lstsq(design, obs.values, rcond=None)[0]
-    core = core_flat.reshape(d1, d2)
+    c_obs, r_obs = c[obs.rows], r[:, obs.cols].T
+
+    def design_t(s):
+        return (c_obs.T @ (s[:, None] * r_obs)).ravel()
+
+    def residual(x):
+        return obs.values - np.einsum("kb,kb->k", c_obs @ x.reshape(d1, d2),
+                                      r_obs)
+
+    if obs.n_cells < d1 * d2:
+        f = _pinv_factor((c_obs @ c_obs.T) * (r_obs @ r_obs.T), size)
+        x = design_t(f @ (f.T @ obs.values))
+        x += design_t(f @ (f.T @ residual(x)))
+    else:
+        f = _pinv_factor(_kron_gram(c, r, obs), size)
+        x = f @ (f.T @ design_t(obs.values))
+        x += f @ (f.T @ design_t(residual(x)))
+    core = x.reshape(d1, d2)
     return CurPlusFit(estimate=c @ core @ r, middle=core)
 
 

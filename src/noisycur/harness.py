@@ -81,9 +81,10 @@ __all__ = [
 # mapping and a smaller one from its heap.  Left to itself, it raises that
 # threshold, and the heap's trim threshold with it, to the size of each
 # mapped chunk it frees.  Sweep cells allocate arrays of data-dependent
-# size, from a few MB to tens of MB, so with sliding thresholds the free
-# heap that stays resident, and with it a sweep's peak memory, depends on
-# the sizes of the cells that ran before.  Both are fixed at the sliding
+# size, the largest being CUR+'s m x d1^2 self-Kronecker factor of its Gram
+# (10 MB for a 5000-row matrix at d1 = 16), so with sliding thresholds the
+# free heap that stays resident, and with it a sweep's peak memory, depends
+# on the sizes of the cells that ran before.  Both are fixed at the sliding
 # threshold's cap and twice that (the ratio glibc keeps), so that peak
 # memory depends on the cell grid alone.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3

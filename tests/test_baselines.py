@@ -1,5 +1,8 @@
 """Baseline completions: nuclear-norm solvers, CUR+, two-phase sampling."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -255,6 +258,131 @@ class TestCurPlus:
             resid = c[i] @ fit.middle @ r[:, j] - y
             grad += resid * np.outer(c[i], r[:, j])
         assert np.abs(grad).max() < 1e-8
+
+    @staticmethod
+    def kron_lstsq(c, r, pm, rcond=None):
+        """The explicit path: lstsq on the design with one row
+        kron(c_i, r_j) per observed cell.  Returns (estimate, design)."""
+        design = np.stack([np.kron(c[i], r[:, j])
+                           for i, j in zip(pm.rows, pm.cols)])
+        core = np.linalg.lstsq(design, pm.values, rcond=rcond)[0]
+        return c @ core.reshape(c.shape[1], r.shape[0]) @ r, design
+
+    @staticmethod
+    def reference_case(kind):
+        """(c, r, pm) on 80x60 for each solve regime."""
+        rng = np.random.default_rng(["over", "under", "barely_over",
+                                     "barely_under", "rank_deficient",
+                                     "ill_conditioned"].index(kind))
+        # the rank-deficient C is columns of a rank-2 matrix: rank 2 < d1
+        a = synthetic_lowrank(80, 60, 2 if kind == "rank_deficient" else 4,
+                              rng=rng)
+        d1, d2, draws = {"over": (5, 4, 500), "under": (10, 10, 60),
+                         "barely_over": (10, 10, 103),
+                         "barely_under": (10, 10, 97),
+                         "rank_deficient": (3, 2, 40),
+                         "ill_conditioned": (6, 6, 300)}[kind]
+        if kind == "rank_deficient":
+            c, r = a[:, [0, 3, 5]], a[[1, 4], :]
+        else:
+            scale = 1e-3 if kind == "ill_conditioned" else 0.2
+            noise = scale * rng.standard_normal((80 + 60, d1 + d2))
+            c = a[:, rng.integers(0, 60, d1)] + noise[:80, :d1]
+            r = a[rng.integers(0, 80, d2)] + noise[80:, d1:].T
+        if kind.startswith("barely"):
+            cells = rng.choice(80 * 60, draws, replace=False)
+            rows, cols = np.divmod(cells, 60)
+        else:
+            rows, cols = rng.integers(0, 80, draws), rng.integers(0, 60, draws)
+        values = a[rows, cols] + 0.1 * rng.standard_normal(rows.size)
+        return c, r, PartialMatrix(a.shape, rows, cols, values)
+
+    @pytest.mark.parametrize("kind", ["over", "under", "barely_over",
+                                      "barely_under", "rank_deficient",
+                                      "ill_conditioned"])
+    def test_matches_explicit_lstsq(self, kind):
+        c, r, pm = self.reference_case(kind)
+        d1, d2 = c.shape[1], r.shape[0]
+        eps = np.finfo(float).eps
+        size = max(pm.n_cells, d1 * d2)
+        # the Gram drops the design's singular values at or below
+        # sqrt(size * eps) of the largest; lstsq at its own cutoff only
+        # those at or below size * eps
+        gram_cutoff = np.sqrt(size * eps)
+        expected, design = self.kron_lstsq(
+            c, r, pm, rcond=gram_cutoff if kind == "ill_conditioned" else None)
+        sv = np.linalg.svd(design, compute_uv=False)
+        sv /= sv[0]
+        if kind == "over":
+            assert pm.n_cells > 4 * d1 * d2
+        elif kind == "under":
+            assert pm.n_cells < d1 * d2
+        elif kind.startswith("barely"):
+            # within three of the unknowns, either side, and the design's
+            # condition number squared in a Gram is past 1e10.  Solved on
+            # the d1*d2 Gram, whose null space blurs its smallest real
+            # eigenvectors, barely_under lands 3e-7 away
+            assert 0 < abs(pm.n_cells - d1 * d2) <= 3
+            assert 1 / sv[-1] > 1e5
+        elif kind == "rank_deficient":
+            assert np.linalg.matrix_rank(c) == 2
+        else:
+            # column and row noise of 1e-3 on a rank-4 matrix: condition
+            # number about 2e8, some singular values between the two
+            # cutoffs and none within a factor 3 of the Gram's.  Against
+            # lstsq at its own cutoff the estimate lands 2e-3 away
+            assert 1e8 < 1 / sv[-1] < 1e10
+            assert (sv <= gram_cutoff).any() and (sv > size * eps).all()
+            assert not ((sv > gram_cutoff / 3) & (sv < 3 * gram_cutoff)).any()
+        fit = curplus(c, r, pm)
+        err = np.linalg.norm(fit.estimate - expected)
+        assert err < 1e-8 * np.linalg.norm(expected), err
+
+    @pytest.mark.parametrize("kind", ["under", "rank_deficient"])
+    def test_minimum_norm_core(self, kind):
+        # the core lies in the design's row space: no part of it is spent
+        # on a direction the observations cannot see.  The Gram's
+        # eigenvectors carry errors of about eps * cond(D)^2, which is
+        # 4e-10 for the rank-deficient C (smallest kept singular value
+        # 7e-4 of the largest), so the bound is 1e-8 and not roundoff.
+        c, r, pm = self.reference_case(kind)
+        _, design = self.kron_lstsq(c, r, pm)
+        core = curplus(c, r, pm).middle.ravel()
+        _, sv, vt = np.linalg.svd(design, full_matrices=False)
+        row_space = vt[sv > max(design.shape) * np.finfo(float).eps * sv[0]]
+        off = core - row_space.T @ (row_space @ core)
+        assert np.linalg.norm(off) < 1e-8 * np.linalg.norm(core)
+
+    @pytest.mark.parametrize("draws", [4, 400])  # kernel and Gram branch
+    def test_zero_columns_give_zero_core(self, draws):
+        rng = np.random.default_rng(6)
+        pm = PartialMatrix((20, 15), rng.integers(0, 20, draws),
+                           rng.integers(0, 15, draws),
+                           rng.standard_normal(draws))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = curplus(np.zeros((20, 3)), rng.standard_normal((2, 15)), pm)
+        np.testing.assert_array_equal(fit.middle, np.zeros((3, 2)))
+        np.testing.assert_array_equal(fit.estimate, np.zeros((20, 15)))
+
+    def test_ratings_shape_memory(self):
+        # 5000 x 100, 40k draws, d = 32 (a 16 x 16 core): the design alone
+        # would take 38k x 256 doubles, about 79 MB
+        rng = np.random.default_rng(7)
+        m, n = 5000, 100
+        a = rng.standard_normal((m, 5)) @ rng.standard_normal((5, n))
+        c = a[:, rng.integers(0, n, 16)] + rng.standard_normal((m, 16))
+        r = a[rng.integers(0, m, 16)] + rng.standard_normal((16, n))
+        rows, cols = rng.integers(0, m, 40_000), rng.integers(0, n, 40_000)
+        pm = PartialMatrix((m, n), rows, cols, a[rows, cols])
+        tracemalloc.start()
+        try:
+            fit = curplus(c, r, pm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32_000_000, peak
+        assert np.isfinite(fit.estimate).all()
 
     def test_shape_mismatch(self):
         pm = make_pm((4, 4), entries=[(0, 0, 1.0)])
