@@ -7,7 +7,6 @@ a reproducible sweep harness with a CLI front end.
 """
 
 from .linalg import (
-    LeverageProfile,
     SketchMatrix,
     apply_sketch_transpose,
     build_sketch,

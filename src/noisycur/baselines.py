@@ -127,7 +127,6 @@ class AdmmResult:
     iterations: int
     primal_residual: float
     dual_residual: float
-    objective: float  # ||Z||_* + (rho/2) ||Z - W||_F^2 at the last iterate
     dual: np.ndarray  # scaled dual U at the last iterate, for warm starts
     rho: float  # penalty after the last balancing step
 
@@ -164,9 +163,6 @@ def _admm_nuclear(target, rows, cols, radius: float, settings: AdmmSettings,
     Tibshirani 2010): W, U and rho are taken from it, and Z is recomputed
     from W - U in the first step.  The ball need not match the earlier
     solve's.
-
-    The reported objective is ||Z||_* + (rho/2) ||Z - W||_F^2, evaluated
-    once at the last iterate with the final rho.
     """
     m, n = target.shape
     if start is None:
@@ -203,7 +199,6 @@ def _admm_nuclear(target, rows, cols, radius: float, settings: AdmmSettings,
             rho /= 2.0
             u = u * 2.0
 
-    nuclear = float(np.linalg.svd(z, compute_uv=False).sum())
     # Report the feasible iterate: W satisfies the ball constraints exactly.
     return AdmmResult(
         matrix=w,
@@ -211,7 +206,6 @@ def _admm_nuclear(target, rows, cols, radius: float, settings: AdmmSettings,
         iterations=it,
         primal_residual=primal,
         dual_residual=dual,
-        objective=nuclear + 0.5 * rho * primal**2,
         dual=u,
         rho=rho,
     )
@@ -351,7 +345,7 @@ def chen_observe(oracle, phase1_fraction: float, rng: np.random.Generator,
     entry is refused with InfeasiblePlanError, as any empty read is.
 
     Returns (observations, info): the merged record, phase 1 first, and
-    info with both phase counts and the estimated scores.
+    info with the two phase counts, phase1_count and phase2_count.
     """
     if not 0 < phase1_fraction < 1:
         raise ValueError("phase1_fraction must be in (0, 1)")
@@ -380,8 +374,5 @@ def chen_observe(oracle, phase1_fraction: float, rng: np.random.Generator,
     info = {
         "phase1_count": n1,
         "phase2_count": len(obs.entry_samples) - n1,
-        "row_leverage": row_lev,
-        "col_leverage": col_lev,
-        "rank_used": k,
     }
     return obs, info

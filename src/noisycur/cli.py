@@ -14,14 +14,15 @@ import sys
 
 import click
 import numpy as np
-import yaml
 
 from .completion import NoisyCurConfig, draw_noisycur_samples
 from .harness import (
     ConfigError,
     config_from_dict,
     emit_csv,
+    load_config,
     load_dataset,
+    read_raw_config,
     run_sweep,
     write_resolved_config,
 )
@@ -81,20 +82,6 @@ def generate(rows, cols, rank, mean, std, seed, out):
     click.echo(f"wrote {rows}x{cols} rank-{rank} matrix to {out}")
 
 
-def _load_raw_config(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from None
-    raw = raw or {}
-    if not isinstance(raw, dict):
-        raise ConfigError("top-level config must be a mapping")
-    return raw
-
-
 def _int_list(text: str, name: str) -> list:
     try:
         return [int(part) for part in text.split(",") if part.strip()]
@@ -124,7 +111,7 @@ def sweep(config_path, out, master_seed, trials, workers, d_grid,
           algorithms, no_wall_time):
     """Run the budget sweep described by a config file; write one CSV row
     per (algorithm, d, trial) cell plus the resolved config beside it."""
-    raw = _load_raw_config(config_path)
+    raw = read_raw_config(config_path)
     overrides = raw.setdefault("sweep", {})
     if not isinstance(overrides, dict):
         raise ConfigError("section 'sweep' must be a mapping")
@@ -280,7 +267,7 @@ def info(data, config_path, rank, sigma_c):
     if (data is None) == (config_path is None):
         raise ConfigError("give exactly one of --data or --config")
     if config_path is not None:
-        config = config_from_dict(_load_raw_config(config_path))
+        config = load_config(config_path)
         a, spec = load_dataset(config)
         name = spec.name
         if rank is None:
@@ -293,7 +280,7 @@ def info(data, config_path, rank, sigma_c):
 
     m, n = a.shape
     rank_used = rank if rank is not None else numerical_rank(a)
-    profile, coherence, beta = column_leverage_and_coherence(a, rank_used)
+    _, coherence, beta = column_leverage_and_coherence(a, rank_used)
     sv = np.linalg.svd(a, compute_uv=False)
     click.echo(f"dataset: {name}")
     click.echo(f"shape: {m} x {n}")

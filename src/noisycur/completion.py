@@ -25,7 +25,6 @@ import numpy as np
 
 from .linalg import (
     RANK_TOL_FACTOR,
-    LeverageProfile,
     SketchMatrix,
     apply_sketch_transpose,
     as_matrix,
@@ -176,8 +175,7 @@ def draw_noisycur_samples(a, cfg: NoisyCurConfig,
         # the pipeline still runs (the ridge solve then returns X = 0)
         basis = np.zeros((a.shape[0], 0))
         singular_values = np.zeros(min(c_tilde.shape))
-        profile = LeverageProfile(
-            np.full(a.shape[0], 1.0 / a.shape[0]), "shrinked-row")
+        profile = np.full(a.shape[0], 1.0 / a.shape[0])
     sketch = build_sketch(profile, cfg.n_rows, rng_sketch)
     row_targets = sample_rows_noisy(a, sketch, cfg.sigma_e, rng_rows)
     return NoisyCurDraw(

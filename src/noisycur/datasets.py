@@ -44,7 +44,6 @@ class DatasetSpec:
     n_rows: int
     n_cols: int
     rank: int
-    description: str = ""
 
 
 def truncated_svd_approx(a, rank: int) -> np.ndarray:

@@ -58,6 +58,7 @@ __all__ = [
     "ExperimentConfig",
     "SweepResult",
     "config_from_dict",
+    "read_raw_config",
     "load_config",
     "load_dataset",
     "build_cost_model",
@@ -78,15 +79,16 @@ __all__ = [
 
 
 # glibc's malloc serves an allocation above its mmap threshold from a fresh
-# mapping and a smaller one from its heap.  Left to itself, it raises that
-# threshold, and the heap's trim threshold with it, to the size of each
-# mapped chunk it frees.  Sweep cells allocate arrays of data-dependent
-# size, the largest being CUR+'s m x d1^2 self-Kronecker factor of its Gram
-# (10 MB for a 5000-row matrix at d1 = 16), so with sliding thresholds the
-# free heap that stays resident, and with it a sweep's peak memory, depends
-# on the sizes of the cells that ran before.  Both are fixed at the sliding
-# threshold's cap and twice that (the ratio glibc keeps), so that peak
-# memory depends on the cell grid alone.
+# mapping and a smaller one from its heap, and returns free heap above its
+# trim threshold to the system.  Left to itself, it starts both low and
+# raises them only as mapped chunks are freed, so the arrays that every
+# cell or trial allocates and frees keep going back to the system and
+# being faulted in again: about 320 minor page faults per criterion-5
+# guarantee trial, against none with the thresholds fixed.  Both are fixed
+# at the sliding threshold's cap and twice that (the ratio glibc keeps).
+# Measured on one BLAS thread over ten alternating pairs, leaving them to
+# slide made the guarantee trials 23% slower (slower in all ten pairs), at
+# the same peak memory.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MALLOC_MMAP_THRESHOLD = 32 << 20
 _MALLOC_TRIM_THRESHOLD = 64 << 20
@@ -352,7 +354,8 @@ def config_from_dict(raw) -> ExperimentConfig:
     return _validate_config(dataset, cost, sweep, raw.get("hyper", {}))
 
 
-def load_config(path) -> ExperimentConfig:
+def read_raw_config(path) -> dict:
+    """The top-level mapping of a YAML config file, {} for an empty file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -360,7 +363,15 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
-    return config_from_dict(raw)
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError("top-level config must be a mapping")
+    return raw
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(read_raw_config(path))
 
 
 def write_resolved_config(config: ExperimentConfig, path) -> None:
@@ -386,17 +397,12 @@ def load_dataset(config: ExperimentConfig):
         rng = np.random.default_rng(int(seed))
         a = synthetic_lowrank(ds["n_rows"], ds["n_cols"], ds["rank"],
                               mean=ds["mean"], std=ds["std"], rng=rng)
-        rank = ds["rank"]
-        description = (f"best rank-{rank} part of an i.i.d. normal matrix, "
-                       f"mean {ds['mean']}, std {ds['std']}")
     elif kind == "jester":
         a = load_jester(ds["path"])
         if ds["row_limit"] is not None:
             a = a[: int(ds["row_limit"])]
         if ds["col_limit"] is not None:
             a = a[:, : int(ds["col_limit"])]
-        rank = ds["rank"]
-        description = f"complete-user ratings slice from {ds['path']}"
     elif kind == "movielens":
         pm = load_movielens_100k(ds["path"])
         completion_rank = ds["completion_rank"] or ds["rank"]
@@ -409,16 +415,11 @@ def load_dataset(config: ExperimentConfig):
                 RuntimeWarning,
                 stacklevel=2,
             )
-        rank = ds["rank"]
-        description = (f"rank-{completion_rank} iterative-SVD completion "
-                       f"of {ds['path']}")
     else:
         a = np.load(ds["path"])
-        rank = ds["rank"]
-        description = f"dense matrix loaded from {ds['path']}"
     a = as_matrix(a, "dataset")
     spec = DatasetSpec(name=name, n_rows=a.shape[0], n_cols=a.shape[1],
-                       rank=rank, description=description)
+                       rank=ds["rank"])
     return a, spec
 
 
@@ -703,16 +704,6 @@ _DRIVERS = {
 }
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
-
-
 def run_single_cell(a, model: TwoCostModel, algorithm: str, d: int,
                     seed: int, hyper: dict | None = None) -> dict:
     """Execute one sweep cell from its recorded seed.
@@ -746,14 +737,13 @@ def run_single_cell(a, model: TwoCostModel, algorithm: str, d: int,
         }
     metrics = error_metrics(a, outcome.estimate)
     wall_ms = (time.perf_counter() - start) * 1e3
-    hyperparams = {k: _jsonable(v) for k, v in outcome.hyperparams.items()}
     return {
         "s": int(outcome.n_sketch_rows),
         "rel_error": metrics["rel_error"],
         "abs_error_sq": metrics["abs_error_sq"],
         "spent": oracle.ledger.spent,
         "leftover": oracle.ledger.leftover,
-        "hyperparams": json.dumps(hyperparams, sort_keys=True),
+        "hyperparams": json.dumps(outcome.hyperparams, sort_keys=True),
         "wall_ms": wall_ms,
         "feasible": True,
     }

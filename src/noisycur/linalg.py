@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "RANK_TOL_FACTOR",
-    "LeverageProfile",
     "SketchMatrix",
     "as_matrix",
     "orthonormal_basis",
@@ -77,41 +76,12 @@ def orthonormal_basis(a, return_singular_values: bool = False):
     return (basis, sv) if return_singular_values else basis
 
 
-@dataclass(frozen=True)
-class LeverageProfile:
-    """Leverage scores for one axis of a matrix.
-
-    kind "shrinked-row" holds the sampling distribution used for row
-    sketches: each score is 0.5 * lev_i / sum(lev) + 1/(2m), so the vector
-    sums to one and is bounded below by 1/(2m).  kind "column" holds raw
-    column-space leverage scores (norms of rows of the right singular
-    factor), which sum to the rank.
-    """
-
-    scores: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
-        if scores.ndim != 1 or scores.size == 0:
-            raise ValueError("scores must be a nonempty 1-D vector")
-        if not np.isfinite(scores).all() or (scores < 0).any():
-            raise ValueError("scores must be finite and nonnegative")
-        if self.kind not in ("shrinked-row", "column"):
-            raise ValueError(f"unknown leverage profile kind {self.kind!r}")
-        if self.kind == "shrinked-row":
-            if abs(scores.sum() - 1.0) > 1e-8:
-                raise ValueError("shrinked-row scores must sum to 1")
-            if (scores < 0.5 / scores.size - 1e-12).any():
-                raise ValueError("shrinked-row scores must be >= 1/(2m)")
-        object.__setattr__(self, "scores", scores)
-
-
-def shrinked_row_scores(u) -> LeverageProfile:
+def shrinked_row_scores(u) -> np.ndarray:
     """Shrinked row sampling distribution of a basis-like matrix ``u``.
 
     score_i = 0.5 * ||row_i(u)||^2 / ||u||_F^2 + 1/(2m).  The result always
-    sums to one, whether or not ``u`` has orthonormal columns.
+    sums to one, whether or not ``u`` has orthonormal columns, and is
+    bounded below by 1/(2m).
     """
     u = as_matrix(u, "basis")
     row_sq = np.einsum("ij,ij->i", u, u)
@@ -119,8 +89,7 @@ def shrinked_row_scores(u) -> LeverageProfile:
     if total == 0.0:
         raise ValueError("cannot take leverage scores of a zero matrix")
     m = u.shape[0]
-    scores = 0.5 * row_sq / total + 0.5 / m
-    return LeverageProfile(scores=scores, kind="shrinked-row")
+    return 0.5 * row_sq / total + 0.5 / m
 
 
 def column_leverage_and_coherence(a, rank: int | None = None):
@@ -132,7 +101,7 @@ def column_leverage_and_coherence(a, rank: int | None = None):
     maximum; the returned beta is coherence * n / rank, i.e. how far the
     worst column sticks out relative to a perfectly incoherent matrix.
 
-    Returns (LeverageProfile, coherence, beta).
+    Returns (scores, coherence, beta).
     """
     a = as_matrix(a)
     if min(a.shape) == 0:
@@ -149,7 +118,7 @@ def column_leverage_and_coherence(a, rank: int | None = None):
     coherence = float(scores.max())
     n = a.shape[1]
     beta = coherence * n / r
-    return LeverageProfile(scores=scores, kind="column"), coherence, beta
+    return scores, coherence, beta
 
 
 @dataclass(frozen=True)
@@ -204,13 +173,11 @@ class SketchMatrix:
 def build_sketch(p, s: int, rng: np.random.Generator) -> SketchMatrix:
     """Draw a row-sampling sketch of s samples from the distribution p.
 
-    p may be a probability vector or a LeverageProfile; it must be
-    nonnegative and sum to one within 1e-8.  The per-row counts are
-    k ~ Multinomial(s, p), and the sketch has one column per sampled row u,
-    in increasing order, with count k_u and scale sqrt(k_u / (s * p_u)).
+    p is a probability vector over the rows: nonnegative and summing to
+    one within 1e-8.  The per-row counts are k ~ Multinomial(s, p), and the
+    sketch has one column per sampled row u, in increasing order, with
+    count k_u and scale sqrt(k_u / (s * p_u)).
     """
-    if isinstance(p, LeverageProfile):
-        p = p.scores
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("p must be a nonempty 1-D probability vector")

@@ -1,16 +1,14 @@
 """Deterministic seed derivation for replayable experiment cells.
 
-Every randomized stage takes an explicit ``numpy.random.Generator``.  The
-helpers here fold a master seed plus a structured key (algorithm name, grid
+Every randomized stage takes an explicit ``numpy.random.Generator``.
+cell_seed folds a master seed plus a structured key (algorithm name, grid
 position, trial index, ...) into a single 64-bit seed, so any cell of a sweep
 can be re-run in isolation from the seed recorded in its output row.
 """
 
 import hashlib
 
-import numpy as np
-
-__all__ = ["cell_seed", "derive_rng"]
+__all__ = ["cell_seed"]
 
 
 def cell_seed(master_seed: int, *key) -> int:
@@ -24,7 +22,3 @@ def cell_seed(master_seed: int, *key) -> int:
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
-
-def derive_rng(master_seed: int, *key) -> np.random.Generator:
-    """Generator seeded by :func:`cell_seed` of the given key."""
-    return np.random.default_rng(cell_seed(master_seed, *key))

@@ -209,13 +209,6 @@ class TestNna:
         with pytest.raises(ValueError):
             nna(PartialMatrix((3, 3)), 0.1)
 
-    def test_objective_matches_nuclear_norm(self):
-        pm = make_pm((3, 3), entries=[(i, j, float(i == j))
-                                      for i in range(3) for j in range(3)])
-        fit = nna(pm, 0.0, AdmmSettings(tol=1e-9, max_iters=4000))
-        assert fit.objective == pytest.approx(
-            nuclear_norm(fit.matrix), abs=1e-6)
-
 
 class TestCurPlus:
     def test_exact_recovery_noiseless(self):

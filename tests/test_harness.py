@@ -26,6 +26,7 @@ from noisycur.harness import (
     load_config,
     load_dataset,
     parse_csv,
+    read_raw_config,
     relative_error,
     resolve_hyper,
     run_single_cell,
@@ -140,6 +141,15 @@ class TestConfigResolution:
         p.write_text("dataset: [unclosed\n")
         with pytest.raises(ConfigError, match="cannot parse"):
             load_config(p)
+
+    def test_empty_and_non_mapping_files(self, tmp_path):
+        empty = tmp_path / "empty.yaml"
+        empty.write_text("")
+        assert read_raw_config(empty) == {}
+        listed = tmp_path / "list.yaml"
+        listed.write_text("[]\n")
+        with pytest.raises(ConfigError, match="must be a mapping"):
+            read_raw_config(listed)
 
     def test_file_kind_needs_path(self):
         with pytest.raises(ConfigError, match="needs a path"):

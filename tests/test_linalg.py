@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noisycur.linalg import (
-    LeverageProfile,
     SketchMatrix,
     apply_sketch_transpose,
     build_sketch,
@@ -72,12 +71,12 @@ class TestShrinkedRowScores:
     def test_first_two_columns_of_identity(self):
         u = np.eye(4)[:, :2]
         prof = shrinked_row_scores(u)
-        np.testing.assert_allclose(prof.scores, [0.375, 0.375, 0.125, 0.125],
+        np.testing.assert_allclose(prof, [0.375, 0.375, 0.125, 0.125],
                                    atol=1e-15)
 
     def test_scalar_matrix(self):
         prof = shrinked_row_scores(np.array([[2.5]]))
-        np.testing.assert_allclose(prof.scores, [1.0])
+        np.testing.assert_allclose(prof, [1.0])
 
     def test_matches_per_row_brute_force(self):
         rng = np.random.default_rng(3)
@@ -87,9 +86,9 @@ class TestShrinkedRowScores:
         fro_sq = np.sum(u * u)
         expected = np.array(
             [0.5 * np.dot(u[i], u[i]) / fro_sq + 0.5 / m for i in range(m)])
-        np.testing.assert_allclose(prof.scores, expected, rtol=1e-13)
-        assert abs(prof.scores.sum() - 1.0) < 1e-12
-        assert (prof.scores >= 1 / 12 - 1e-12).all()
+        np.testing.assert_allclose(prof, expected, rtol=1e-13)
+        assert abs(prof.sum() - 1.0) < 1e-12
+        assert (prof >= 1 / 12 - 1e-12).all()
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -101,14 +100,14 @@ class TestShrinkedRowScores:
         rng = np.random.default_rng(seed)
         u = rng.standard_normal((m, max(1, min(r, m))))
         prof = shrinked_row_scores(u)
-        assert abs(prof.scores.sum() - 1.0) < 1e-12
-        assert (prof.scores >= 0.5 / m - 1e-12).all()
+        assert abs(prof.sum() - 1.0) < 1e-12
+        assert (prof >= 0.5 / m - 1e-12).all()
 
 
 class TestColumnLeverage:
     def test_identity(self):
         prof, coherence, beta = column_leverage_and_coherence(np.eye(5))
-        np.testing.assert_allclose(prof.scores, np.ones(5), atol=1e-12)
+        np.testing.assert_allclose(prof, np.ones(5), atol=1e-12)
         assert coherence == pytest.approx(1.0)
         assert beta == pytest.approx(1.0)
 
@@ -116,7 +115,7 @@ class TestColumnLeverage:
         a = np.zeros((4, 3))
         a[:, 1] = [1.0, 2.0, 0.0, -1.0]
         prof, coherence, beta = column_leverage_and_coherence(a)
-        np.testing.assert_allclose(prof.scores, [0.0, 1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(prof, [0.0, 1.0, 0.0], atol=1e-12)
         assert coherence == pytest.approx(1.0)
         assert beta == pytest.approx(3.0)  # 1 * n / r with n=3, r=1
 
@@ -124,8 +123,8 @@ class TestColumnLeverage:
         rng = np.random.default_rng(11)
         a = rng.standard_normal((9, 4)) @ rng.standard_normal((4, 7))
         prof, coherence, beta = column_leverage_and_coherence(a)
-        assert prof.scores.sum() == pytest.approx(4.0, abs=1e-9)
-        assert coherence == pytest.approx(prof.scores.max())
+        assert prof.sum() == pytest.approx(4.0, abs=1e-9)
+        assert coherence == pytest.approx(prof.max())
         assert beta == pytest.approx(coherence * 7 / 4)
 
 
@@ -152,21 +151,12 @@ class TestBuildSketch:
     def test_empirical_frequencies(self):
         rng = np.random.default_rng(123)
         u = orthonormal_basis(rng.standard_normal((5, 2)))
-        prof = shrinked_row_scores(u)
+        p = shrinked_row_scores(u)
         s = 10_000
-        sk = build_sketch(prof, s, rng)
+        sk = build_sketch(p, s, rng)
         counts = np.bincount(sk.indices, weights=sk.counts, minlength=5)
-        p = prof.scores
         sigma = np.sqrt(s * p * (1 - p))
         assert (np.abs(counts - s * p) <= 3 * sigma + 1e-9).all()
-
-    def test_accepts_profile_and_raw_vector(self):
-        rng = np.random.default_rng(5)
-        p = np.array([0.25, 0.25, 0.25, 0.25])
-        sk1 = build_sketch(p, 6, np.random.default_rng(9))
-        sk2 = build_sketch(
-            LeverageProfile(p, "shrinked-row"), 6, np.random.default_rng(9))
-        np.testing.assert_array_equal(sk1.indices, sk2.indices)
 
 
 class TestApplySketch:
@@ -263,7 +253,7 @@ class TestStatisticalIdentity:
         rng = np.random.default_rng(2024)
         m, s, n_draws = 6, 4, 100_000
         p = shrinked_row_scores(
-            orthonormal_basis(rng.standard_normal((m, 2)))).scores
+            orthonormal_basis(rng.standard_normal((m, 2))))
         acc = np.zeros((m, m))
         diag = np.zeros(m)
         for _ in range(n_draws):
