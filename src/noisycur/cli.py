@@ -26,7 +26,7 @@ from .harness import (
     run_sweep,
     write_resolved_config,
 )
-from .linalg import as_matrix, column_leverage_and_coherence, numerical_rank
+from .linalg import as_matrix, leverage_from_svd, rank_from_singular_values
 from .observe import snr
 from .theory import (
     HypothesisError,
@@ -279,12 +279,13 @@ def info(data, config_path, rank, sigma_c):
         name = str(data)
 
     m, n = a.shape
-    rank_used = rank if rank is not None else numerical_rank(a)
-    _, coherence, beta = column_leverage_and_coherence(a, rank_used)
-    sv = np.linalg.svd(a, compute_uv=False)
+    _, sv, vt = np.linalg.svd(a, full_matrices=False)
+    num_rank = rank_from_singular_values(sv, a.shape)
+    rank_used = rank if rank is not None else num_rank
+    _, coherence, beta = leverage_from_svd(sv, vt, a.shape, rank_used)
     click.echo(f"dataset: {name}")
     click.echo(f"shape: {m} x {n}")
-    click.echo(f"numerical rank: {numerical_rank(a)}"
+    click.echo(f"numerical rank: {num_rank}"
                + (f" (profile uses rank {rank_used})"
                   if rank is not None else ""))
     click.echo(f"frobenius norm: {float(np.linalg.norm(a)):.6g}")

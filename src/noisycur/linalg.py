@@ -17,8 +17,10 @@ __all__ = [
     "as_matrix",
     "orthonormal_basis",
     "numerical_rank",
+    "rank_from_singular_values",
     "shrinked_row_scores",
     "column_leverage_and_coherence",
+    "leverage_from_svd",
     "build_sketch",
     "apply_sketch_transpose",
     "embedding_distortion",
@@ -42,19 +44,20 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def _rank_tolerance(shape, top_singular_value: float) -> float:
-    return max(shape) * top_singular_value * RANK_TOL_FACTOR
+def rank_from_singular_values(sv, shape) -> int:
+    """Numerical rank of a matrix of the given shape from its singular
+    values ``sv`` (descending): how many exceed the relative rank
+    tolerance, max(shape) * sigma_1 * RANK_TOL_FACTOR."""
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(sv > max(shape) * sv[0] * RANK_TOL_FACTOR))
 
 
 def numerical_rank(a) -> int:
     """Number of singular values above the relative rank tolerance."""
     a = as_matrix(a)
-    if min(a.shape) == 0:
-        return 0
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > _rank_tolerance(a.shape, sv[0])))
+    return rank_from_singular_values(np.linalg.svd(a, compute_uv=False),
+                                     a.shape)
 
 
 def orthonormal_basis(a, return_singular_values: bool = False):
@@ -71,7 +74,7 @@ def orthonormal_basis(a, return_singular_values: bool = False):
     u, sv, _ = np.linalg.svd(a, full_matrices=False)
     if sv[0] == 0.0:
         raise ValueError("cannot build a basis for the zero matrix")
-    r = int(np.count_nonzero(sv > _rank_tolerance(a.shape, sv[0])))
+    r = rank_from_singular_values(sv, a.shape)
     basis = np.ascontiguousarray(u[:, :r])
     return (basis, sv) if return_singular_values else basis
 
@@ -104,20 +107,25 @@ def column_leverage_and_coherence(a, rank: int | None = None):
     Returns (scores, coherence, beta).
     """
     a = as_matrix(a)
-    if min(a.shape) == 0:
+    _, sv, vt = np.linalg.svd(a, full_matrices=False)
+    return leverage_from_svd(sv, vt, a.shape, rank)
+
+
+def leverage_from_svd(sv, vt, shape, rank: int | None = None):
+    """column_leverage_and_coherence of a matrix of the given shape from
+    its thin SVD's singular values ``sv`` and right factor ``vt``, for a
+    caller that already holds them."""
+    if sv.size == 0:
         raise ValueError("leverage scores of an empty matrix are undefined")
-    sv, vt = np.linalg.svd(a, full_matrices=False)[1:]
     if sv[0] == 0.0:
         raise ValueError("leverage scores of the zero matrix are undefined")
-    r_num = int(np.count_nonzero(sv > _rank_tolerance(a.shape, sv[0])))
-    r = r_num if rank is None else int(rank)
+    r = rank_from_singular_values(sv, shape) if rank is None else int(rank)
     if not 1 <= r <= vt.shape[0]:
         raise ValueError(f"rank must be in [1, {vt.shape[0]}], got {r}")
     v = vt[:r].T  # (n, r) row-space basis
     scores = np.einsum("ij,ij->i", v, v)
     coherence = float(scores.max())
-    n = a.shape[1]
-    beta = coherence * n / r
+    beta = coherence * shape[1] / r
     return scores, coherence, beta
 
 

@@ -1,5 +1,6 @@
 """Baseline completions: nuclear-norm solvers, CUR+, two-phase sampling."""
 
+import json
 import tracemalloc
 import warnings
 
@@ -15,7 +16,14 @@ from noisycur.baselines import (
     svt,
 )
 from noisycur.datasets import synthetic_lowrank
-from noisycur.harness import Oracle, resolve_hyper, run_single_cell
+from noisycur.harness import (
+    Oracle,
+    build_cost_model,
+    config_from_dict,
+    load_dataset,
+    resolve_hyper,
+    run_single_cell,
+)
 from noisycur.observe import ObservationSet, TwoCostModel, sample_entries
 
 
@@ -129,6 +137,58 @@ class TestSvt:
         with pytest.raises(ValueError):
             svt(np.eye(2), -0.1)
 
+    @pytest.mark.parametrize("shape", [(80, 60), (60, 80), (500, 100)])
+    @pytest.mark.parametrize("ratio", [0.0, 0.01, 0.5])
+    def test_matches_svd_reference(self, shape, ratio):
+        # ratio is tau / sigma_1; 0.01 is about the smallest the ADMM
+        # solves of a sweep reach
+        a = noisy_lowrank(shape, seed=sum(shape))
+        assert_svd_reference(a, ratio * np.linalg.norm(a, 2))
+
+    @pytest.mark.parametrize("shape", [(80, 60), (60, 80)])
+    def test_rank_deficient(self, shape):
+        a = noisy_lowrank(shape, seed=7, noise=0.0)
+        sv = np.linalg.svd(a, compute_uv=False)
+        assert np.count_nonzero(sv > 1e-8 * sv[0]) == 5  # rank 4 plus the mean
+        for tau in (0.0, 0.01 * sv[0], 0.5 * sv[4]):
+            assert_svd_reference(a, tau)
+
+    @pytest.mark.parametrize("side", [1.0 - 1e-9, 1.0 + 1e-9])
+    def test_tau_at_interior_singular_value(self, side):
+        a = noisy_lowrank((80, 60), seed=2)
+        sv = np.linalg.svd(a, compute_uv=False)
+        assert_svd_reference(a, side * sv[5])
+
+    @pytest.mark.parametrize("shape", [(80, 60), (60, 80)])
+    def test_zero_matrix(self, shape):
+        for tau in (0.0, 1.0):
+            out = svt(np.zeros(shape), tau)
+            assert out.shape == shape
+            assert not out.any()
+
+
+# svt thresholds through an eigh of the small side's Gram, which squares the
+# condition number.  Against the SVD form it measured at most 1e-14 relative
+# on the inputs below, so 1e-12 leaves two digits of margin.
+SVT_RTOL = 1e-12
+
+
+def assert_svd_reference(a, tau):
+    u, sv, vt = np.linalg.svd(a, full_matrices=False)
+    expected = (u * np.maximum(sv - tau, 0.0)) @ vt
+    err = np.linalg.norm(svt(a, tau) - expected)
+    assert err <= SVT_RTOL * np.linalg.norm(expected)
+
+
+def noisy_lowrank(shape, seed, rank=4, noise=0.1):
+    """Rank-``rank`` product on a mean of 5, plus Gaussian noise: the
+    spectrum of an ADMM iterate, one large value, a few signal values and
+    a noise floor."""
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    return (5.0 + rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+            + noise * rng.standard_normal((m, n)))
+
 
 def noisy_partial(seed, shape=(7, 7), rank=3, fraction=0.6, noise=0.1):
     rng = np.random.default_rng(seed)
@@ -199,6 +259,26 @@ class TestNna:
         # restarting from them stops at the first stopping test
         again = nna(pm, delta, settings, start=fit)
         assert again.converged and again.iterations == 1
+
+    def test_default_config_cell_pinned(self):
+        # A fixed-seed nna cell on the default 80 x 60 config, on a 5-point
+        # delta grid.  The pinned values were recorded with the full-SVD
+        # thresholding step: thresholding through the Gram must keep the
+        # picked factor (here the grid floor 0.01) and every iteration count
+        # and convergence field, and move rel_error only in its last digits.
+        config = config_from_dict({})
+        a, spec = load_dataset(config)
+        model = build_cost_model(config, a.shape[0], spec.rank)
+        hyper = resolve_hyper("nna", {"delta_factors":
+                                      {"lo": 1e-2, "hi": 1e2, "num": 5}})
+        row = run_single_cell(a, model, "nna", 4, seed=1, hyper=hyper)
+        record = json.loads(row["hyperparams"])
+        assert record["delta_factor"] == 0.01
+        assert record["admm_iterations"] == 360
+        assert record["admm_converged"] is True
+        assert record["cv_converged"] == 5
+        assert row["rel_error"] == pytest.approx(0.08653937673872662,
+                                                 rel=0, abs=1e-9)
 
     def test_huge_delta_gives_zero(self):
         pm = make_pm((4, 4), entries=[(0, 0, 1.0), (1, 2, 2.0)])
