@@ -10,8 +10,8 @@ from .linalg import (
     SketchMatrix,
     apply_sketch_transpose,
     build_sketch,
-    column_leverage_and_coherence,
     embedding_distortion,
+    leverage_from_svd,
     orthonormal_basis,
     shrinked_row_scores,
 )
@@ -29,7 +29,6 @@ from .completion import (
     NoisyCurConfig,
     Reconstruction,
     cross_validate_lambda,
-    guarantee_sample_sizes,
     noisycur,
     ridge_solve,
 )
@@ -58,6 +57,7 @@ from .theory import (
     check_sketched_ridge_bound,
     check_span_capture_bound,
     embedding_sketch_size,
+    guarantee_sample_sizes,
     recovery_probability_floor,
     ridge_contraction_factor,
 )

@@ -24,13 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    RANK_TOL_FACTOR,
     SketchMatrix,
     apply_sketch_transpose,
     as_matrix,
     build_sketch,
     embedding_distortion,
     orthonormal_basis,
+    rank_from_singular_values,
     shrinked_row_scores,
 )
 from .observe import sample_columns, sample_rows_noisy
@@ -43,7 +43,6 @@ __all__ = [
     "draw_noisycur_samples",
     "solve_from_draw",
     "noisycur",
-    "guarantee_sample_sizes",
     "cross_validate_lambda",
 ]
 
@@ -74,9 +73,10 @@ class NoisyCurDraw:
     """Everything random in one run: noisy columns, sketch, sketched targets.
 
     basis and singular_values come from one SVD of c_tilde (an all-zero
-    c_tilde has an empty basis and zero singular values).  row_targets
-    holds one read per sampled row u, sketch.scales[u] a_u plus
-    N(0, sigma_e^2) per entry (module docstring).
+    c_tilde has an empty basis and zero singular values).  design is the
+    sketched design S^T c_tilde, built once for the CV and the solve.
+    row_targets holds one read per sampled row u, sketch.scales[u] a_u
+    plus N(0, sigma_e^2) per entry (module docstring).
     """
 
     c_tilde: np.ndarray
@@ -84,6 +84,7 @@ class NoisyCurDraw:
     basis: np.ndarray
     singular_values: np.ndarray
     sketch: SketchMatrix
+    design: np.ndarray  # S^T c_tilde, (sketch.n_cols, d)
     row_targets: np.ndarray  # S^T a + noise, (sketch.n_cols, n)
     sigma_e: float
     noise_rng: np.random.Generator = field(repr=False)
@@ -95,8 +96,7 @@ class NoisyCurDraw:
     def cross_validate(self, grid, n_folds: int):
         """cross_validate_lambda on the draw, from the row-noise stream."""
         return cross_validate_lambda(
-            apply_sketch_transpose(self.sketch, self.c_tilde),
-            self.row_targets, grid, self.noise_rng, n_folds,
+            self.design, self.row_targets, grid, self.noise_rng, n_folds,
             counts=self.sketch.counts, sigma_e=self.sigma_e)
 
 
@@ -118,20 +118,24 @@ class Reconstruction:
 
 
 def _svd_kernel(design: np.ndarray):
-    """Thin SVD (u, sigma, v^T) of design without the singular values at or
-    below linalg's rank tolerance, max(shape) * sigma_1 * RANK_TOL_FACTOR."""
+    """Thin SVD (u, sigma, v^T) of design, keeping its leading
+    linalg.rank_from_singular_values triplets."""
     u, sv, vt = np.linalg.svd(design, full_matrices=False)
-    keep = sv > max(design.shape) * sv[0] * RANK_TOL_FACTOR
-    return u[:, keep], sv[keep], vt[keep]
+    r = rank_from_singular_values(sv, design.shape)
+    # Fortran order, as a column gather returns it: u.T @ y then runs on a
+    # C-ordered u.T.  BLAS rounds each layout differently, and the sweep
+    # CSVs' last digits follow that.
+    return np.asfortranarray(u[:, :r]), sv[:r], vt[:r]
 
 
 def ridge_solve(design, targets, ridge_lambda: float, *,
                 return_singular_values: bool = False):
     """Solve min_X ||targets - design @ X||_F^2 + ridge_lambda * ||X||_F^2.
 
-    One thin SVD B = U diag(sigma) V^T, truncated at linalg's rank
-    tolerance, gives X = V diag(sigma / (sigma^2 + lambda)) U^T Y without
-    squaring the condition number in B^T B.  ridge_lambda = 0 gives the
+    One thin SVD B = U diag(sigma) V^T, truncated to B's numerical rank
+    (linalg.rank_from_singular_values), gives
+    X = V diag(sigma / (sigma^2 + lambda)) U^T Y without squaring the
+    condition number in B^T B.  ridge_lambda = 0 gives the
     minimum-norm solution, and warns when fewer singular values than
     columns are kept.  return_singular_values adds the kept ones.
     """
@@ -184,6 +188,7 @@ def draw_noisycur_samples(a, cfg: NoisyCurConfig,
         basis=basis,
         singular_values=singular_values,
         sketch=sketch,
+        design=apply_sketch_transpose(sketch, c_tilde),
         row_targets=row_targets,
         sigma_e=cfg.sigma_e,
         noise_rng=rng_rows,
@@ -203,8 +208,7 @@ def solve_from_draw(draw: NoisyCurDraw,
     s x d per-sample design, so sigma_d_sketched, from the solve's own
     SVD, is that design's too.
     """
-    design = apply_sketch_transpose(draw.sketch, draw.c_tilde)
-    x, design_sv = ridge_solve(design, draw.row_targets, ridge_lambda,
+    x, design_sv = ridge_solve(draw.design, draw.row_targets, ridge_lambda,
                                return_singular_values=True)
     estimate = draw.c_tilde @ x
 
@@ -232,42 +236,6 @@ def noisycur(a, cfg: NoisyCurConfig,
     """Full noisyCUR run on ``a`` under ``cfg``; see the module docstring."""
     draw = draw_noisycur_samples(a, cfg, rng)
     return solve_from_draw(draw, cfg.ridge_lambda)
-
-
-def guarantee_sample_sizes(rank: int, beta: float, kappa2: float,
-                           dense_c: float, sigma_c: float,
-                           eps: float, delta: float):
-    """Column and row sample counts required by the recovery guarantee.
-
-    d must clear two branches: an incoherence branch
-    (6 + 2 eps) / (3 eps^2) * beta * rank * log(rank / delta) and a noise
-    branch 8 (1 + delta)^2 / (dense_c^2 (1 - eps) eps) * rank * kappa2^2 *
-    sigma_c^2, where dense_c lower-bounds at least half the entry magnitudes
-    and kappa2 is the ratio of extreme nonzero singular values.  The row
-    count then needs s >= (6 + 2 eps) / (3 eps^2) * 2 d * log(d / delta).
-
-    Returns (d_min, s_min), both ceiled to integers >= 1.
-    """
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
-    if beta <= 0 or dense_c <= 0:
-        raise ValueError("beta and dense_c must be positive")
-    if kappa2 < 1:
-        raise ValueError("kappa2 must be >= 1")
-    if sigma_c < 0:
-        raise ValueError("sigma_c must be nonnegative")
-
-    lead = (6 + 2 * eps) / (3 * eps * eps)
-    incoherence_branch = lead * beta * rank * math.log(rank / delta)
-    noise_branch = (8 * (1 + delta) ** 2 / (dense_c**2 * (1 - eps) * eps)
-                    * rank * kappa2**2 * sigma_c**2)
-    d_min = max(1, math.ceil(max(incoherence_branch, noise_branch)))
-    s_min = max(1, math.ceil(lead * 2 * d_min * math.log(d_min / delta)))
-    return d_min, s_min
 
 
 def _fold_counts(counts: np.ndarray, n_folds: int,

@@ -284,6 +284,11 @@ def _validate_config(dataset: dict, cost: dict, sweep: dict,
         if not (isinstance(dataset["rank"], int) and dataset["rank"] >= 1):
             raise ConfigError("dataset.rank must be a positive integer "
                               "(it sizes the budget)")
+    for key in ("row_limit", "col_limit"):
+        if dataset[key] is not None and not (
+                isinstance(dataset[key], int) and dataset[key] >= 1):
+            raise ConfigError(f"dataset.{key} must be a positive integer "
+                              "or null")
 
     if not cost["entry_price"] > 0:
         raise ConfigError("cost.entry_price must be positive")
@@ -398,11 +403,7 @@ def load_dataset(config: ExperimentConfig):
         a = synthetic_lowrank(ds["n_rows"], ds["n_cols"], ds["rank"],
                               mean=ds["mean"], std=ds["std"], rng=rng)
     elif kind == "jester":
-        a = load_jester(ds["path"])
-        if ds["row_limit"] is not None:
-            a = a[: int(ds["row_limit"])]
-        if ds["col_limit"] is not None:
-            a = a[:, : int(ds["col_limit"])]
+        a = load_jester(ds["path"])[: ds["row_limit"], : ds["col_limit"]]
     elif kind == "movielens":
         pm = load_movielens_100k(ds["path"])
         completion_rank = ds["completion_rank"] or ds["rank"]
@@ -418,6 +419,8 @@ def load_dataset(config: ExperimentConfig):
     else:
         a = np.load(ds["path"])
     a = as_matrix(a, "dataset")
+    if a.size == 0:
+        raise ConfigError(f"dataset '{name}' is empty: shape {a.shape}")
     spec = DatasetSpec(name=name, n_rows=a.shape[0], n_cols=a.shape[1],
                        rank=ds["rank"])
     return a, spec
@@ -768,44 +771,32 @@ def run_sweep(config: ExperimentConfig):
     if hyper["chen"]["rank"] is None:
         hyper["chen"] = {**hyper["chen"], "rank": ds.rank}
 
-    tasks = {}
-    for alg in config.algorithms:
-        d_keys = ["*"] if alg in D_INDEPENDENT else list(config.d_grid)
-        for d_key in d_keys:
-            for trial in range(config.n_trials):
-                run_d = config.d_grid[0] if d_key == "*" else d_key
-                seed = cell_seed(config.master_seed, alg, d_key, trial)
-                tasks[(alg, d_key, trial)] = (alg, run_d, seed)
-
-    items = sorted(tasks.items(),
-                   key=lambda kv: (kv[0][0], str(kv[0][1]), kv[0][2]))
-    outcomes = {}
+    # (algorithm, str(d key), trial, seed, d values filled), in run order
+    cells = sorted(
+        (alg, str(d_key), trial,
+         cell_seed(config.master_seed, alg, d_key, trial),
+         config.d_grid if d_key == "*" else (d_key,))
+        for alg in config.algorithms
+        for d_key in (["*"] if alg in D_INDEPENDENT else config.d_grid)
+        for trial in range(config.n_trials))
+    payloads = [(a, model, alg, fills[0], seed, hyper[alg])
+                for alg, _, _, seed, fills in cells]
     if config.workers > 1:
-        payloads = [(a, model, alg, run_d, seed, hyper[alg])
-                    for _, (alg, run_d, seed) in items]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for (key, _), out in zip(items, pool.map(_pool_cell, payloads)):
-                outcomes[key] = out
+            outcomes = list(pool.map(_pool_cell, payloads))
     else:
-        for key, (alg, run_d, seed) in items:
-            outcomes[key] = run_single_cell(a, model, alg, run_d, seed,
-                                            hyper[alg])
+        outcomes = [_pool_cell(payload) for payload in payloads]
 
-    rows = []
-    for alg in config.algorithms:
-        for d in config.d_grid:
-            d_key = "*" if alg in D_INDEPENDENT else d
-            for trial in range(config.n_trials):
-                out = outcomes[(alg, d_key, trial)]
-                seed = tasks[(alg, d_key, trial)][2]
-                rows.append(SweepResult(
-                    dataset=ds.name, algorithm=alg, d=int(d), s=out["s"],
-                    trial=trial, seed=seed, rel_error=out["rel_error"],
-                    abs_error_sq=out["abs_error_sq"], spent=out["spent"],
-                    leftover=out["leftover"],
-                    hyperparams=out["hyperparams"],
-                    wall_ms=out["wall_ms"], feasible=out["feasible"],
-                ))
+    rows = [
+        SweepResult(
+            dataset=ds.name, algorithm=alg, d=int(d), s=out["s"],
+            trial=trial, seed=seed, rel_error=out["rel_error"],
+            abs_error_sq=out["abs_error_sq"], spent=out["spent"],
+            leftover=out["leftover"], hyperparams=out["hyperparams"],
+            wall_ms=out["wall_ms"], feasible=out["feasible"],
+        )
+        for (alg, _, trial, seed, fills), out in zip(cells, outcomes)
+        for d in fills]
     rows.sort(key=lambda r: (r.dataset, r.algorithm, r.d, r.trial))
     return rows
 

@@ -16,10 +16,8 @@ __all__ = [
     "SketchMatrix",
     "as_matrix",
     "orthonormal_basis",
-    "numerical_rank",
     "rank_from_singular_values",
     "shrinked_row_scores",
-    "column_leverage_and_coherence",
     "leverage_from_svd",
     "build_sketch",
     "apply_sketch_transpose",
@@ -51,13 +49,6 @@ def rank_from_singular_values(sv, shape) -> int:
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > max(shape) * sv[0] * RANK_TOL_FACTOR))
-
-
-def numerical_rank(a) -> int:
-    """Number of singular values above the relative rank tolerance."""
-    a = as_matrix(a)
-    return rank_from_singular_values(np.linalg.svd(a, compute_uv=False),
-                                     a.shape)
 
 
 def orthonormal_basis(a, return_singular_values: bool = False):
@@ -95,26 +86,19 @@ def shrinked_row_scores(u) -> np.ndarray:
     return 0.5 * row_sq / total + 0.5 / m
 
 
-def column_leverage_and_coherence(a, rank: int | None = None):
-    """Column-space leverage scores, coherence, and the incoherence ratio.
+def leverage_from_svd(sv, vt, shape, rank: int | None = None):
+    """Column-space leverage scores, coherence, and the incoherence ratio
+    of a matrix of the given shape, from its thin SVD's singular values
+    ``sv`` and right factor ``vt``.
 
-    The scores are squared row norms of the right singular factor of ``a``
+    The scores are squared row norms of the right singular factor
     restricted to its top ``rank`` directions (numerical rank if not given),
-    so they index columns of ``a`` and sum to the rank.  Coherence is their
-    maximum; the returned beta is coherence * n / rank, i.e. how far the
-    worst column sticks out relative to a perfectly incoherent matrix.
+    so they index columns of the matrix and sum to the rank.  Coherence is
+    their maximum; the returned beta is coherence * n / rank, i.e. how far
+    the worst column sticks out relative to a perfectly incoherent matrix.
 
     Returns (scores, coherence, beta).
     """
-    a = as_matrix(a)
-    _, sv, vt = np.linalg.svd(a, full_matrices=False)
-    return leverage_from_svd(sv, vt, a.shape, rank)
-
-
-def leverage_from_svd(sv, vt, shape, rank: int | None = None):
-    """column_leverage_and_coherence of a matrix of the given shape from
-    its thin SVD's singular values ``sv`` and right factor ``vt``, for a
-    caller that already holds them."""
     if sv.size == 0:
         raise ValueError("leverage scores of an empty matrix are undefined")
     if sv[0] == 0.0:

@@ -10,7 +10,9 @@ the stated failure probability in params so callers can compare empirical
 failure rates against it.
 
 Instances that violate a precondition are rejected up front with the
-failed hypothesis named, never silently run outside the guarantee.
+failed hypothesis named, never silently run outside the guarantee.  Each
+checker decomposes each matrix it draws or is given once: rank, spectrum,
+basis and leverage all come from one SVD of that matrix.
 """
 
 from __future__ import annotations
@@ -20,15 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .completion import NoisyCurConfig, guarantee_sample_sizes, noisycur
+from .completion import NoisyCurConfig, noisycur
 from .linalg import (
     apply_sketch_transpose,
     as_matrix,
     build_sketch,
-    column_leverage_and_coherence,
     embedding_distortion,
-    numerical_rank,
+    leverage_from_svd,
     orthonormal_basis,
+    rank_from_singular_values,
     shrinked_row_scores,
 )
 
@@ -41,6 +43,7 @@ __all__ = [
     "ridge_contraction_factor",
     "ridge_resolvent_constant",
     "embedding_sketch_size",
+    "guarantee_sample_sizes",
     "draw_embedding_sketch",
     "recovery_probability_floor",
     "check_embedding_rate",
@@ -167,20 +170,55 @@ def embedding_sketch_size(d: int, eps: float, delta: float) -> int:
     return max(1, math.ceil(lead * 2 * d * math.log(d / delta)))
 
 
-def draw_embedding_sketch(a, s: int, rng: np.random.Generator, *,
-                          eps: float, max_draws: int = 50):
-    """Draw shrinked-leverage sketches of a until one is a verified
-    (1 +/- eps) embedding for span(a).
+def guarantee_sample_sizes(rank: int, beta: float, kappa2: float,
+                           dense_c: float, sigma_c: float,
+                           eps: float, delta: float):
+    """Column and row sample counts required by the recovery guarantee.
 
-    Returns (sketch, measured_distortion, n_draws).  The measured
+    d must clear two branches: an incoherence branch
+    (6 + 2 eps) / (3 eps^2) * beta * rank * log(rank / delta) and a noise
+    branch 8 (1 + delta)^2 / (dense_c^2 (1 - eps) eps) * rank * kappa2^2 *
+    sigma_c^2, where dense_c lower-bounds at least half the entry magnitudes
+    and kappa2 is the ratio of extreme nonzero singular values.  The row
+    count s is then embedding_sketch_size(d, eps, delta).
+
+    Returns (d_min, s_min), both integers >= 1.
+    """
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    if not 0 < eps < 1:
+        raise ValueError("eps must be in (0, 1)")
+    if not 0 < delta < 1:
+        raise ValueError("delta must be in (0, 1)")
+    if beta <= 0 or dense_c <= 0:
+        raise ValueError("beta and dense_c must be positive")
+    if kappa2 < 1:
+        raise ValueError("kappa2 must be >= 1")
+    if sigma_c < 0:
+        raise ValueError("sigma_c must be nonnegative")
+
+    incoherence_branch = ((6 + 2 * eps) / (3 * eps * eps)
+                          * beta * rank * math.log(rank / delta))
+    noise_branch = (8 * (1 + delta) ** 2 / (dense_c**2 * (1 - eps) * eps)
+                    * rank * kappa2**2 * sigma_c**2)
+    d_min = max(1, math.ceil(max(incoherence_branch, noise_branch)))
+    return d_min, embedding_sketch_size(d_min, eps, delta)
+
+
+def draw_embedding_sketch(basis, s: int, rng: np.random.Generator, *,
+                          eps: float, max_draws: int = 50):
+    """Draw shrinked-leverage sketches until one is a verified
+    (1 +/- eps) embedding for span(basis).
+
+    ``basis`` must have orthonormal columns (linalg.orthonormal_basis), so
+    a caller that also needs the singular values takes them from the same
+    SVD.  Returns (sketch, measured_distortion, n_draws).  The measured
     distortion, not the target eps, is what the deterministic bound
     checkers plug into their constants.  Raises RuntimeError if max_draws
     sketches all fail, which signals s is far too small for eps.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    a = as_matrix(a, "a")
-    basis = orthonormal_basis(a)
     profile = shrinked_row_scores(basis)
     for attempt in range(1, max_draws + 1):
         sketch = build_sketch(profile, s, rng)
@@ -272,8 +310,9 @@ def check_ridge_resolvent_bound(n_instances: int, rng: np.random.Generator, *,
     reports = []
     for trial in range(n_instances):
         a = rng.standard_normal((m, d))
+        basis, sv = orthonormal_basis(a, return_singular_values=True)
         sketch, measured, draws = draw_embedding_sketch(
-            a, s, rng, eps=eps, max_draws=max_draws)
+            basis, s, rng, eps=eps, max_draws=max_draws)
         v = rng.standard_normal(d)
 
         sa = apply_sketch_transpose(sketch, a)
@@ -281,7 +320,7 @@ def check_ridge_resolvent_bound(n_instances: int, rng: np.random.Generator, *,
         w = np.linalg.solve(gram + ridge_lambda * np.eye(d), v)
         lhs = float(np.sum((a @ w) ** 2))
 
-        sigma_d_sq = float(np.linalg.svd(a, compute_uv=False)[-1] ** 2)
+        sigma_d_sq = float(sv[-1] ** 2)
         rhs = (ridge_resolvent_constant(ridge_lambda, sigma_d_sq, measured)
                * float(np.sum((a @ v) ** 2)))
 
@@ -340,13 +379,13 @@ def check_sketched_ridge_bound(n_instances: int, rng: np.random.Generator, *,
         design = rng.standard_normal((m, d))
         targets = rng.standard_normal((m, n_targets))
         noise = sigma_e * rng.standard_normal((m, n_targets))
+        q, sv = orthonormal_basis(design, return_singular_values=True)
         sketch, measured, draws = draw_embedding_sketch(
-            design, s, rng, eps=eps, max_draws=max_draws)
+            q, s, rng, eps=eps, max_draws=max_draws)
 
-        q = orthonormal_basis(design)
         projected = q @ (q.T @ targets)
         residual = targets - projected
-        sigma_d_sq = float(np.linalg.svd(design, compute_uv=False)[-1] ** 2)
+        sigma_d_sq = float(sv[-1] ** 2)
         gamma = ridge_contraction_factor(ridge_lambda, sigma_d_sq, measured)
         noise_gain = 4.0 / (1.0 - measured)
 
@@ -439,10 +478,11 @@ def check_span_capture_bound(rank: int, n_instances: int,
     coeff_c = rng.standard_normal((rank, d))
     a = u @ coeff_a
     c = u @ coeff_c
-    if numerical_rank(c) != rank:
+    sv = np.linalg.svd(c, compute_uv=False)
+    if rank_from_singular_values(sv, c.shape) != rank:
         raise HypothesisError("drawn column sample lost rank; retry with a "
                               "different seed")
-    sigma_min_c = float(np.linalg.svd(c, compute_uv=False)[rank - 1])
+    sigma_min_c = float(sv[rank - 1])
 
     sigma_c_max = sigma_min_c * math.sqrt(eps / m) / (2 * (1 + delta))
     if sigma_c is None:
@@ -539,9 +579,9 @@ def check_recovery_guarantee(a, n_trials: int, rng: np.random.Generator, *,
     """End-to-end additive error bound for the full estimator.
 
     Measures the hypotheses on the given matrix: exact rank r, column
-    incoherence beta, denseness constant c (largest value with at least
-    half the entries at least that large in magnitude), and condition
-    number kappa2 over the nonzero spectrum.  Sample counts default to the
+    incoherence beta and condition number kappa2 over the nonzero spectrum,
+    all from one thin SVD, and the denseness constant c (largest value with
+    at least half the entries at least that large in magnitude).  Sample counts default to the
     guaranteed minimums for (eps, delta); explicit smaller counts are
     rejected.  Each trial runs the estimator and checks
 
@@ -566,15 +606,15 @@ def check_recovery_guarantee(a, n_trials: int, rng: np.random.Generator, *,
 
     a = as_matrix(a, "a")
     m, n = a.shape
-    sv = np.linalg.svd(a, compute_uv=False)
-    rank = numerical_rank(a)
+    _, sv, vt = np.linalg.svd(a, full_matrices=False)
+    rank = rank_from_singular_values(sv, a.shape)
     if rank == 0:
         raise HypothesisError("matrix is zero; rank hypothesis unmet")
     dense_c = _upper_median(a)
     if dense_c <= 0:
         raise HypothesisError(
             "denseness hypothesis unmet: more than half the entries vanish")
-    _, _, beta = column_leverage_and_coherence(a, rank=rank)
+    _, _, beta = leverage_from_svd(sv, vt, a.shape, rank)
     kappa2 = float(sv[0] / sv[rank - 1])
     sigma_r_sq = float(sv[rank - 1] ** 2)
     norm_sq = float(np.sum(sv ** 2))

@@ -8,9 +8,24 @@ import os
 # acceptance runs several times slower.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 import noisycur.theory as theory
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shapes of the inputs of every np.linalg.svd call, in call order."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
 
 
 @pytest.fixture

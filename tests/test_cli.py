@@ -169,22 +169,15 @@ class TestInfo:
         assert "rank" in out
         assert "snr" in out.lower()
 
-    def test_data_report_takes_one_svd(self, tmp_path, capsys, monkeypatch):
+    def test_data_report_takes_one_svd(self, tmp_path, capsys, svd_shapes):
         # the rank, the printed singular values and the coherence all come
         # from one SVD of the matrix
         data = tmp_path / "a.npy"
         np.save(data, synthetic_lowrank(16, 12, 2,
                                         rng=np.random.default_rng(0)))
-        calls = []
-        svd = np.linalg.svd
-
-        def counting_svd(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        svd_shapes.clear()  # the generator's own SVD
         assert main(["info", "--data", str(data)]) == 0
-        assert calls == [(16, 12)]
+        assert svd_shapes == [(16, 12)]
         assert "numerical rank: 2\n" in capsys.readouterr().out
 
     def test_config_report(self, tmp_path, capsys):

@@ -17,7 +17,6 @@ from noisycur.completion import (
     _fold_sums,
     cross_validate_lambda,
     draw_noisycur_samples,
-    guarantee_sample_sizes,
     noisycur,
     ridge_solve,
     solve_from_draw,
@@ -28,8 +27,10 @@ from noisycur.linalg import (
     apply_sketch_transpose,
     embedding_distortion,
     orthonormal_basis,
+    rank_from_singular_values,
 )
 from noisycur.observe import sample_rows_noisy
+from noisycur.theory import guarantee_sample_sizes
 
 
 def ridge_by_gradient_descent(b, y, lam, tol=1e-10, max_iters=200_000):
@@ -98,6 +99,17 @@ class TestRidgeSolve:
         # minimum-norm solution of a consistent system
         np.testing.assert_allclose(b @ x, y, atol=1e-10)
         assert np.abs(x - np.linalg.pinv(b) @ y).max() < 1e-10
+
+    def test_rank_deficient_keeps_numerical_rank(self):
+        # a rank-3 design with 5 columns: the solve keeps exactly the
+        # singular values linalg's rank rule counts
+        rng = np.random.default_rng(4)
+        b = rng.standard_normal((10, 3)) @ rng.standard_normal((3, 5))
+        y = rng.standard_normal((10, 2))
+        _, sv = ridge_solve(b, y, 0.1, return_singular_values=True)
+        full = np.linalg.svd(b, compute_uv=False)
+        assert sv.size == rank_from_singular_values(full, b.shape) == 3
+        np.testing.assert_allclose(sv, full[:3], rtol=1e-12)
 
     def test_monotone_shrinkage(self):
         rng = np.random.default_rng(5)
@@ -239,6 +251,7 @@ def with_sketch(draw, a, sketch, rng):
     draw_noisycur_samples takes them."""
     return dataclasses.replace(
         draw, sketch=sketch,
+        design=apply_sketch_transpose(sketch, draw.c_tilde),
         row_targets=sample_rows_noisy(a, sketch, draw.sigma_e, rng),
         noise_rng=rng)
 
@@ -338,20 +351,40 @@ class TestCollapsedSolve:
         assert rec.diagnostics["sigma_d_sketched"] == 0.0
         assert rec.diagnostics["sketch_distortion"] >= 1.0
 
-    def test_design_is_built_on_demand(self):
-        # the draw keeps no per-sample array: its sketch and targets have
-        # one row per sampled row, however many samples they stand for
+    def test_draw_holds_one_row_per_sampled_row(self):
+        # the draw keeps no per-sample array: its sketch, sketched design
+        # and targets have one row per sampled row, however many samples
+        # they stand for
         fields = {f.name for f in dataclasses.fields(NoisyCurDraw)}
-        assert not {"design", "sample_targets", "collapsed",
-                    "inverse"} & fields
+        assert not {"sample_targets", "collapsed", "inverse"} & fields
         a = synthetic_lowrank(10, 8, 2, rng=np.random.default_rng(9))
         cfg = NoisyCurConfig(n_columns=3, n_rows=700, sigma_c=0.2,
                              sigma_e=0.1, ridge_lambda=1.0)
         draw = draw_noisycur_samples(a, cfg, np.random.default_rng(0))
-        assert not hasattr(draw, "design")
         assert draw.sketch.n_samples == 700
         assert draw.sketch.n_cols <= 10
+        np.testing.assert_array_equal(
+            draw.design, apply_sketch_transpose(draw.sketch, draw.c_tilde))
         assert draw.row_targets.shape == (draw.sketch.n_cols, 8)
+
+    def test_design_is_built_once(self, monkeypatch):
+        # the draw builds S^T c_tilde; the CV and the solve read it
+        import noisycur.completion as completion
+        calls = []
+        real = completion.apply_sketch_transpose
+
+        def counting(sketch, m):
+            calls.append(m.shape)
+            return real(sketch, m)
+
+        monkeypatch.setattr(completion, "apply_sketch_transpose", counting)
+        a = synthetic_lowrank(10, 8, 2, rng=np.random.default_rng(9))
+        cfg = NoisyCurConfig(n_columns=3, n_rows=40, sigma_c=0.2,
+                             sigma_e=0.1, ridge_lambda=1.0)
+        draw = draw_noisycur_samples(a, cfg, np.random.default_rng(0))
+        best, _, _ = draw.cross_validate(np.logspace(-3, 3, 7), 5)
+        solve_from_draw(draw, best)
+        assert calls == [(10, 3)]
 
     def test_reading_sample_targets_leaves_the_solve_alone(self):
         # cross-validation reads the fold sums of the per-sample reads from

@@ -155,6 +155,14 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="needs a path"):
             config_from_dict({"dataset": {"kind": "jester"}})
 
+    @pytest.mark.parametrize("key", ["row_limit", "col_limit"])
+    @pytest.mark.parametrize("value", [-5, 0, 2.7, "3"])
+    def test_bad_slice_limits_rejected(self, key, value):
+        with pytest.raises(ConfigError,
+                           match=f"dataset.{key} must be a positive integer"):
+            config_from_dict({"dataset": {"kind": "jester", "path": "j.csv",
+                                          "rank": 2, key: value}})
+
 
 class TestDatasetAndCostModel:
     def test_synthetic_load(self):
@@ -181,6 +189,26 @@ class TestDatasetAndCostModel:
         loaded, ds = load_dataset(cfg)
         np.testing.assert_array_equal(loaded, a)
         assert ds.n_rows == 3 and ds.n_cols == 4
+
+    def test_jester_limits_slice(self, tmp_path):
+        ratings = np.round(np.linspace(-9.0, 9.0, 6 * 100), 2).reshape(6, 100)
+        p = tmp_path / "jokes.csv"
+        p.write_text("".join(",".join(["100"] + [f"{v:.2f}" for v in row])
+                             + "\n" for row in ratings))
+        cfg = config_from_dict({"dataset": {
+            "kind": "jester", "path": str(p), "rank": 2,
+            "row_limit": 4, "col_limit": 7}})
+        a, ds = load_dataset(cfg)
+        np.testing.assert_array_equal(a, ratings[:4, :7])
+        assert (ds.n_rows, ds.n_cols) == (4, 7)
+
+    def test_empty_dataset_rejected(self, tmp_path):
+        p = tmp_path / "empty.npy"
+        np.save(p, np.zeros((0, 4)))
+        cfg = config_from_dict({
+            "dataset": {"kind": "file", "path": str(p), "rank": 1}})
+        with pytest.raises(ConfigError, match="is empty: shape"):
+            load_dataset(cfg)
 
     def test_movielens_unconverged_completion_warns(self, tmp_path,
                                                     monkeypatch):

@@ -8,10 +8,10 @@ from noisycur.linalg import (
     SketchMatrix,
     apply_sketch_transpose,
     build_sketch,
-    column_leverage_and_coherence,
     embedding_distortion,
-    numerical_rank,
+    leverage_from_svd,
     orthonormal_basis,
+    rank_from_singular_values,
     shrinked_row_scores,
 )
 
@@ -104,9 +104,15 @@ class TestShrinkedRowScores:
         assert (prof >= 0.5 / m - 1e-12).all()
 
 
+def column_leverage(a):
+    """leverage_from_svd on a's own thin SVD."""
+    _, sv, vt = np.linalg.svd(a, full_matrices=False)
+    return leverage_from_svd(sv, vt, a.shape)
+
+
 class TestColumnLeverage:
     def test_identity(self):
-        prof, coherence, beta = column_leverage_and_coherence(np.eye(5))
+        prof, coherence, beta = column_leverage(np.eye(5))
         np.testing.assert_allclose(prof, np.ones(5), atol=1e-12)
         assert coherence == pytest.approx(1.0)
         assert beta == pytest.approx(1.0)
@@ -114,7 +120,7 @@ class TestColumnLeverage:
     def test_single_nonzero_column(self):
         a = np.zeros((4, 3))
         a[:, 1] = [1.0, 2.0, 0.0, -1.0]
-        prof, coherence, beta = column_leverage_and_coherence(a)
+        prof, coherence, beta = column_leverage(a)
         np.testing.assert_allclose(prof, [0.0, 1.0, 0.0], atol=1e-12)
         assert coherence == pytest.approx(1.0)
         assert beta == pytest.approx(3.0)  # 1 * n / r with n=3, r=1
@@ -122,7 +128,7 @@ class TestColumnLeverage:
     def test_scores_sum_to_rank(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((9, 4)) @ rng.standard_normal((4, 7))
-        prof, coherence, beta = column_leverage_and_coherence(a)
+        prof, coherence, beta = column_leverage(a)
         assert prof.sum() == pytest.approx(4.0, abs=1e-9)
         assert coherence == pytest.approx(prof.max())
         assert beta == pytest.approx(coherence * 7 / 4)
@@ -294,4 +300,5 @@ class TestNumericalRank:
         rng = np.random.default_rng(seed)
         m, n = r + extra, r + 2
         a = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
-        assert numerical_rank(a) == min(r, m, n)
+        sv = np.linalg.svd(a, compute_uv=False)
+        assert rank_from_singular_values(sv, a.shape) == min(r, m, n)

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from noisycur.completion import guarantee_sample_sizes
 from noisycur.linalg import (
     SketchMatrix,
     apply_sketch_transpose,
@@ -24,6 +23,7 @@ from noisycur.theory import (
     draw_embedding_sketch,
     embedding_sketch_size,
     failure_rate,
+    guarantee_sample_sizes,
     recovery_probability_floor,
     ridge_contraction_factor,
     ridge_resolvent_constant,
@@ -91,7 +91,8 @@ class TestDrawEmbeddingSketch:
         rng = np.random.default_rng(0)
         a = rng.standard_normal((40, 4))
         s = embedding_sketch_size(4, 0.5, 0.1)
-        sketch, measured, draws = draw_embedding_sketch(a, s, rng, eps=0.5)
+        sketch, measured, draws = draw_embedding_sketch(
+            orthonormal_basis(a), s, rng, eps=0.5)
         assert measured <= 0.5
         assert draws >= 1
         assert sketch.n_samples == s
@@ -100,7 +101,8 @@ class TestDrawEmbeddingSketch:
         rng = np.random.default_rng(1)
         a = rng.standard_normal((30, 5))
         with pytest.raises(RuntimeError, match="increase s"):
-            draw_embedding_sketch(a, 2, rng, eps=0.1, max_draws=5)
+            draw_embedding_sketch(orthonormal_basis(a), 2, rng, eps=0.1,
+                                  max_draws=5)
 
 
 class TestEmbeddingRate:
@@ -385,3 +387,36 @@ class TestRecoveryGuarantee:
             p["r"], p["beta"], p["kappa2"], p["dense_c"], 0.0, 0.9, 0.49)
         assert p["d_min"] == d_min
         assert p["s_min"] == s_min
+
+
+class TestOneSvdPerInput:
+    """Each checker decomposes each matrix it draws or is given once."""
+
+    def test_recovery_guarantee(self, svd_shapes):
+        # rank, beta, kappa2 and the spectrum come from one SVD of a; the
+        # trials' SVDs are of the noisy columns and the sketched design,
+        # (30, 27) and (rows, 27) here
+        from noisycur.datasets import synthetic_lowrank
+        a = synthetic_lowrank(30, 20, 2, rng=np.random.default_rng(4))
+        svd_shapes.clear()  # the generator's own SVD
+        reports = check_recovery_guarantee(
+            a, 2, np.random.default_rng(5), sigma_c=0.0, sigma_e=0.0,
+            ridge_lambda=1e-8, eps=0.9, delta=0.49)
+        assert reports[0].params["d"] != a.shape[1]
+        assert svd_shapes[0] == a.shape
+        assert svd_shapes.count(a.shape) == 1
+
+    def test_ridge_resolvent(self, svd_shapes):
+        check_ridge_resolvent_bound(5, np.random.default_rng(0))
+        assert svd_shapes == [(25, 4)] * 5
+
+    def test_sketched_ridge(self, svd_shapes):
+        # the vector form's lstsq reference runs LAPACK's own solver
+        check_sketched_ridge_bound(5, np.random.default_rng(0))
+        assert svd_shapes == [(30, 5)] * 5
+
+    def test_span_capture(self, svd_shapes):
+        # one SVD of c for its rank and sigma_min, then one basis of the
+        # perturbed c per trial
+        check_span_capture_bound(2, 3, np.random.default_rng(3))
+        assert svd_shapes == [(200, 6)] * (1 + 3)
