@@ -34,7 +34,6 @@ from .completion import (
 )
 from .baselines import (
     AdmmResult,
-    AdmmSettings,
     PartialMatrix,
     curplus,
     nna,

@@ -7,9 +7,9 @@ thresholding step takes no SVD: it is one eigh of the Gram of the
 matrix's smaller side (see svt).  Every baseline reads entry observations
 only, aggregated into a PartialMatrix.
 
-The ADMM penalty rho starts at AdmmSettings.rho and is balanced against the
-residuals as the solve runs (Boyd et al. 2011, section 3.4.1: mu = 10,
-tau = 2), with the scaled dual rescaled by rho_old / rho_new at each change.
+The ADMM penalty rho starts at 1 and is balanced against the residuals
+as the solve runs (Boyd et al. 2011, section 3.4.1: mu = 10, tau = 2),
+with the scaled dual rescaled by rho_old / rho_new at each change.
 A solve can be warm-started from an earlier AdmmResult, whose final iterate,
 scaled dual and penalty it carries, so that a path of radii is solved from
 one radius to the next (Mazumder, Hastie & Tibshirani 2010).
@@ -25,7 +25,6 @@ from .observe import ObservationSet
 
 __all__ = [
     "PartialMatrix",
-    "AdmmSettings",
     "AdmmResult",
     "CurPlusFit",
     "svt",
@@ -122,23 +121,6 @@ def svt(a, tau: float) -> np.ndarray:
     return out.T if wide else out
 
 
-@dataclass(frozen=True)
-class AdmmSettings:
-    """Initial penalty weight, stopping tolerance, and iteration cap for ADMM."""
-
-    rho: float = 1.0
-    tol: float = 1e-6
-    max_iters: int = 2000
-
-    def __post_init__(self):
-        if self.rho <= 0 or not math.isfinite(self.rho):
-            raise ValueError("rho must be positive and finite")
-        if self.tol <= 0 or not math.isfinite(self.tol):
-            raise ValueError("tol must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-
-
 @dataclass
 class AdmmResult:
     """Solver output: the iterate plus its convergence certificate."""
@@ -152,56 +134,62 @@ class AdmmResult:
     rho: float  # penalty after the last balancing step
 
 
-def _project_ball(v, target, rows, cols, radius):
-    """Project v onto {W : ||P_omega(W - target)||_F <= radius}, omega the
-    cells (rows, cols); cells outside omega are unconstrained."""
-    w = v.copy()
-    diff = v[rows, cols] - target[rows, cols]
-    norm = math.sqrt(float(np.sum(diff * diff)))
-    if norm > radius:
-        w[rows, cols] = target[rows, cols] + radius / norm * diff
-    return w
+def nna(obs: PartialMatrix, delta: float, tol: float = 1e-6,
+        max_iters: int = 2000, start: AdmmResult | None = None) -> AdmmResult:
+    """Nuclear-norm completion with all observations in a single ball.
 
-
-def _admm_nuclear(target, rows, cols, radius: float, settings: AdmmSettings,
-                  start: AdmmResult | None = None) -> AdmmResult:
-    """min ||Z||_* s.t. ||P_omega(Z - target)||_F <= radius, omega the cells
-    (rows, cols).
+    min ||Z||_* s.t. ||P_omega(Z - observed)||_F <= delta, omega every
+    observed cell, the ball centred on the cell means.
 
     Scaled two-block ADMM: a singular value thresholding step on Z, a ball
     projection step on the splitting variable W, and a dual update.  Boyd-
-    style combined absolute/relative stopping with settings.tol for both.
+    style combined absolute/relative stopping with tol for both, after at
+    most max_iters iterations.
 
-    settings.rho is the initial penalty.  After each iteration's stopping
-    test the penalty is balanced against the residuals (Boyd et al. 2011,
-    section 3.4.1, with mu = 10 and tau = 2): rho doubles when the primal
-    residual exceeds ten times the dual one and halves in the opposite
-    case, and the scaled dual U is rescaled by rho_old / rho_new so that
-    the unscaled dual rho * U is unchanged.
+    The penalty rho starts at 1.  After each iteration's stopping test it
+    is balanced against the residuals (Boyd et al. 2011, section 3.4.1,
+    with mu = 10 and tau = 2): rho doubles when the primal residual
+    exceeds ten times the dual one and halves in the opposite case, and
+    the scaled dual U is rescaled by rho_old / rho_new so that the
+    unscaled dual rho * U is unchanged.
 
     ``start`` warm-starts the solve from an earlier result, typically the
     previous radius on a regularisation path (Mazumder, Hastie &
     Tibshirani 2010): W, U and rho are taken from it, and Z is recomputed
     from W - U in the first step.  The ball need not match the earlier
-    solve's.
+    solve's, and the earlier result is left unchanged.
     """
-    m, n = target.shape
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
+    if obs.n_cells == 0:
+        raise ValueError("no observed cells")
+    if tol <= 0 or not math.isfinite(tol):
+        raise ValueError("tol must be positive and finite")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    rows, cols, centre = obs.rows, obs.cols, obs.values
+    m, n = obs.shape
     if start is None:
         w = np.zeros((m, n))
         u = np.zeros((m, n))
-        rho = settings.rho
+        rho = 1.0
     else:
         w, u, rho = start.matrix, start.dual, start.rho
-    tol = settings.tol
     sqrt_mn = math.sqrt(m * n)
 
     primal = dual = math.inf
     converged = False
     it = 0
-    for it in range(1, settings.max_iters + 1):
+    for it in range(1, max_iters + 1):
         z = svt(w - u, 1.0 / rho)
         w_prev = w
-        w = _project_ball(z + u, target, rows, cols, radius)
+        # project the fresh z + u onto the ball in place; cells outside
+        # omega are unconstrained
+        w = z + u
+        diff = w[rows, cols] - centre
+        norm = math.sqrt(float(np.sum(diff * diff)))
+        if norm > delta:
+            w[rows, cols] = centre + delta / norm * diff
         u = u + z - w
 
         gap = z - w
@@ -230,24 +218,6 @@ def _admm_nuclear(target, rows, cols, radius: float, settings: AdmmSettings,
         dual=u,
         rho=rho,
     )
-
-
-def nna(obs: PartialMatrix, delta: float,
-        settings: AdmmSettings | None = None,
-        start: AdmmResult | None = None) -> AdmmResult:
-    """Nuclear-norm completion with all observations in a single ball.
-
-    min ||Z||_* s.t. ||P_omega(Z - observed)||_F <= delta, over every
-    observed cell.  ``start`` warm-starts the solver from an earlier result
-    (see _admm_nuclear).
-    """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    if obs.n_cells == 0:
-        raise ValueError("no observed cells")
-    settings = settings or AdmmSettings()
-    return _admm_nuclear(obs.dense_fill(0.0), obs.rows, obs.cols,
-                         float(delta), settings, start)
 
 
 @dataclass

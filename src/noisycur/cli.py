@@ -23,6 +23,7 @@ from .harness import (
     load_config,
     load_dataset,
     read_raw_config,
+    resolve_hyper,
     run_sweep,
     write_resolved_config,
 )
@@ -230,8 +231,9 @@ def check(seed, instances, trials, skip_probabilistic):
 def cv(data, n_columns, n_rows, sigma_c, sigma_e, lo, hi, num, folds,
        seed):
     """Cross-validate the ridge weight for one draw of the sampler."""
-    if not (0 < lo <= hi) or num < 1:
-        raise ConfigError("need 0 < lo <= hi and num >= 1")
+    hyper = resolve_hyper("ncur", {"lambda_grid": {"lo": lo, "hi": hi,
+                                                   "num": num},
+                                   "cv_folds": folds})
     a = _load_matrix(data)
     try:
         cfg = NoisyCurConfig(n_columns=n_columns, n_rows=n_rows,
@@ -240,8 +242,8 @@ def cv(data, n_columns, n_rows, sigma_c, sigma_e, lo, hi, num, folds,
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     draw = draw_noisycur_samples(a, cfg, np.random.default_rng(seed))
-    grid = np.logspace(math.log10(lo), math.log10(hi), num)
-    best, curve, folds = draw.cross_validate(grid, folds)
+    grid = hyper["lambda_grid"]
+    best, curve, folds = draw.cross_validate(grid, hyper["cv_folds"])
     if not folds:
         click.echo(f"lambda {best:.6g} (no cross-validation split)")
         return

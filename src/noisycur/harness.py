@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .baselines import AdmmSettings, PartialMatrix, chen_observe, curplus, nna
+from .baselines import PartialMatrix, chen_observe, curplus, nna
 from .completion import (
     NoisyCurConfig,
     draw_noisycur_samples,
@@ -254,16 +254,41 @@ def _as_grid(value, name: str) -> tuple:
     return tuple(sorted(values))
 
 
+def _float_in(value, name: str, lo: float, hi: float, what: str) -> float:
+    """float(value), which must lie strictly between lo and hi."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        out = math.nan
+    if not lo < out < hi:
+        raise ConfigError(f"{name} must be {what}")
+    return out
+
+
 def resolve_hyper(algorithm: str, overrides: dict | None = None) -> dict:
-    """Merge per-algorithm hyper settings over the defaults, expanding grids."""
+    """Merge per-algorithm hyper settings over the defaults, expanding grids
+    and checking every scalar, so that a bad value fails before any cell
+    runs."""
     if algorithm not in DEFAULT_HYPER:
         raise ConfigError(f"unknown algorithm '{algorithm}'; "
                           f"choose from {ALGORITHM_NAMES}")
     merged = _merge_section(DEFAULT_HYPER[algorithm], overrides,
                             f"hyper.{algorithm}")
-    for key in list(merged):
+    for key, value in merged.items():
+        name = f"hyper.{algorithm}.{key}"
         if key.endswith("_grid") or key.endswith("_factors"):
-            merged[key] = _as_grid(merged[key], f"hyper.{algorithm}.{key}")
+            merged[key] = _as_grid(value, name)
+        elif key in ("tol", "cv_tol"):
+            merged[key] = _float_in(value, name, 0.0, math.inf,
+                                    "positive and finite")
+        elif key == "phase1_fraction":
+            merged[key] = _float_in(value, name, 0.0, 1.0, "in (0, 1)")
+        elif key in ("max_iters", "cv_max_iters", "cv_folds"):
+            if not (isinstance(value, int) and value >= 1):
+                raise ConfigError(f"{name} must be a positive integer")
+        elif key == "rank" and value is not None and not (
+                isinstance(value, int) and value >= 1):
+            raise ConfigError(f"{name} must be a positive integer or null")
     return merged
 
 
@@ -390,7 +415,8 @@ def load_dataset(config: ExperimentConfig):
 
     Returns (a, DatasetSpec).  File-backed kinds are read from disk and,
     for movielens, completed to a dense matrix first; the configured rank
-    sizes the budget and is not a claim about the data itself.
+    sizes the budget and is not a claim about the data itself.  Every
+    kind is then cut to its first row_limit rows and col_limit columns.
     """
     ds = config.dataset
     kind = ds["kind"]
@@ -403,7 +429,7 @@ def load_dataset(config: ExperimentConfig):
         a = synthetic_lowrank(ds["n_rows"], ds["n_cols"], ds["rank"],
                               mean=ds["mean"], std=ds["std"], rng=rng)
     elif kind == "jester":
-        a = load_jester(ds["path"])[: ds["row_limit"], : ds["col_limit"]]
+        a = load_jester(ds["path"])
     elif kind == "movielens":
         pm = load_movielens_100k(ds["path"])
         completion_rank = ds["completion_rank"] or ds["rank"]
@@ -418,7 +444,8 @@ def load_dataset(config: ExperimentConfig):
             )
     else:
         a = np.load(ds["path"])
-    a = as_matrix(a, "dataset")
+    a = np.ascontiguousarray(
+        as_matrix(a, "dataset")[: ds["row_limit"], : ds["col_limit"]])
     if a.size == 0:
         raise ConfigError(f"dataset '{name}' is empty: shape {a.shape}")
     spec = DatasetSpec(name=name, n_rows=a.shape[0], n_cols=a.shape[1],
@@ -562,14 +589,6 @@ class _CellOutcome:
     hyperparams: dict
 
 
-def _admm_settings(hyper: dict, cv: bool) -> AdmmSettings:
-    if cv:
-        return AdmmSettings(tol=float(hyper["cv_tol"]),
-                            max_iters=int(hyper["cv_max_iters"]))
-    return AdmmSettings(tol=float(hyper["tol"]),
-                        max_iters=int(hyper["max_iters"]))
-
-
 def _holdout_split(pm: PartialMatrix, rng: np.random.Generator,
                    held_fraction: float = 0.2):
     """Split observed cells into (train PartialMatrix, held-out positions
@@ -608,13 +627,13 @@ def _cv_entry_delta(pm: PartialMatrix, sigma_e: float, factors,
     train, held = _holdout_split(pm, rng)
     if train is None:
         return 1.0, None, 0
-    settings = _admm_settings(hyper, cv=True)
     scores = np.full(len(factors), np.inf)
     fit = best_fit = None
     cv_converged = 0
     for k in sorted(range(len(factors)), key=lambda k: -factors[k]):
         delta = factors[k] * math.sqrt(train.n_cells) * sigma_e
-        fit = nna(train, delta, settings, start=fit)
+        fit = nna(train, delta, hyper["cv_tol"], hyper["cv_max_iters"],
+                  start=fit)
         cv_converged += fit.converged
         scores[k] = _holdout_sse(fit.matrix, pm, held)
         # Keep only the fit the final argmin can pick, not every fit: a
@@ -635,7 +654,7 @@ def _fit_entry_delta(pm: PartialMatrix, sigma_e: float,
     factor, cv_fit, cv_converged = _cv_entry_delta(
         pm, sigma_e, hyper["delta_factors"], rng, hyper)
     delta = factor * math.sqrt(pm.n_cells) * sigma_e
-    fit = nna(pm, delta, _admm_settings(hyper, cv=False), start=cv_fit)
+    fit = nna(pm, delta, hyper["tol"], hyper["max_iters"], start=cv_fit)
     return fit, {"delta": delta, "delta_factor": factor,
                  "admm_iterations": fit.iterations,
                  "admm_converged": fit.converged,
@@ -646,7 +665,7 @@ def _run_ncur(oracle: Oracle, d: int, rng: np.random.Generator,
               hyper: dict) -> _CellOutcome:
     draw = oracle.noisycur(d, rng)
     best, _, folds = draw.cross_validate(hyper["lambda_grid"],
-                                         int(hyper["cv_folds"]))
+                                         hyper["cv_folds"])
     rec = solve_from_draw(draw, best)
     return _CellOutcome(
         estimate=rec.estimate, n_sketch_rows=draw.sketch.n_samples,
@@ -687,15 +706,14 @@ def _run_chen(oracle: Oracle, d: int, rng: np.random.Generator,
     if rank is None:
         raise ConfigError("chen needs a scout rank (hyper.chen.rank); "
                           "run_sweep fills it from the dataset")
-    obs, info = chen_observe(oracle, float(hyper["phase1_fraction"]), rng,
-                             int(rank))
+    obs, info = chen_observe(oracle, hyper["phase1_fraction"], rng, rank)
     pm = PartialMatrix.from_observations(obs)
     fit, record = _fit_entry_delta(pm, oracle.model.sigma_e, rng, hyper)
     return _CellOutcome(
         estimate=fit.matrix, n_sketch_rows=0,
         hyperparams={**record, "phase1_count": info["phase1_count"],
                      "phase2_count": info["phase2_count"],
-                     "scout_rank": int(rank)},
+                     "scout_rank": rank},
     )
 
 

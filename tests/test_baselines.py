@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from noisycur.baselines import (
-    AdmmSettings,
     PartialMatrix,
     chen_observe,
     curplus,
@@ -219,14 +218,14 @@ class TestNna:
         a = np.outer(u, v)
         rows, cols = np.nonzero(rng.random(a.shape) < 0.7)
         pm = PartialMatrix(a.shape, rows, cols, a[rows, cols])
-        fit = nna(pm, 1e-6, AdmmSettings(tol=1e-8, max_iters=5000))
+        fit = nna(pm, 1e-6, tol=1e-8, max_iters=5000)
         rel = np.linalg.norm(fit.matrix - a) / np.linalg.norm(a)
         assert rel < 1e-2
 
     def test_constraint_satisfied(self):
         pm = noisy_partial(7)
         delta = 0.1 * np.sqrt(pm.n_cells)
-        fit = nna(pm, delta, AdmmSettings(tol=1e-7, max_iters=4000))
+        fit = nna(pm, delta, tol=1e-7, max_iters=4000)
         assert ball_residual(fit, pm) <= delta + 1e-3
 
     @pytest.mark.parametrize("seed", [7, 8])
@@ -234,11 +233,11 @@ class TestNna:
         # start from the fit at a larger radius, as the delta-CV path does
         pm = noisy_partial(seed)
         tol = 1e-8
-        settings = AdmmSettings(tol=tol, max_iters=10000)
+        settings = {"tol": tol, "max_iters": 10000}
         delta = 0.1 * np.sqrt(pm.n_cells)
-        wider = nna(pm, 3 * delta, settings)
-        warm = nna(pm, delta, settings, start=wider)
-        cold = nna(pm, delta, settings)
+        wider = nna(pm, 3 * delta, **settings)
+        warm = nna(pm, delta, **settings, start=wider)
+        cold = nna(pm, delta, **settings)
         assert wider.converged and warm.converged and cold.converged
         # within ten primal stopping thresholds of the cold solve
         threshold = tol * (np.sqrt(pm.shape[0] * pm.shape[1])
@@ -249,15 +248,15 @@ class TestNna:
 
     def test_balancing_moves_rho(self):
         pm = noisy_partial(7)
-        settings = AdmmSettings(rho=1.0, tol=1e-7, max_iters=4000)
+        settings = {"tol": 1e-7, "max_iters": 4000}
         delta = 0.1 * np.sqrt(pm.n_cells)
-        fit = nna(pm, delta, settings)
-        assert fit.rho != settings.rho
+        fit = nna(pm, delta, **settings)
+        assert fit.rho != 1.0  # the starting penalty
         assert fit.converged
         assert ball_residual(fit, pm) <= delta * (1 + 1e-12)
         # the carried iterate, scaled dual and penalty are a fixed point:
         # restarting from them stops at the first stopping test
-        again = nna(pm, delta, settings, start=fit)
+        again = nna(pm, delta, **settings, start=fit)
         assert again.converged and again.iterations == 1
 
     def test_default_config_cell_pinned(self):
@@ -282,12 +281,35 @@ class TestNna:
 
     def test_huge_delta_gives_zero(self):
         pm = make_pm((4, 4), entries=[(0, 0, 1.0), (1, 2, 2.0)])
-        fit = nna(pm, 100.0, AdmmSettings(tol=1e-8, max_iters=4000))
+        fit = nna(pm, 100.0, tol=1e-8, max_iters=4000)
         assert np.abs(fit.matrix).max() < 1e-4
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             nna(PartialMatrix((3, 3)), 0.1)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tol": 0.0}, "tol must be positive and finite"),
+        ({"tol": -1.0}, "tol must be positive and finite"),
+        ({"tol": np.inf}, "tol must be positive and finite"),
+        ({"tol": np.nan}, "tol must be positive and finite"),
+        ({"max_iters": 0}, "max_iters must be >= 1"),
+    ], ids=["tol-zero", "tol-negative", "tol-inf", "tol-nan", "iters-zero"])
+    def test_bad_settings_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            nna(noisy_partial(7), 1.0, **kwargs)
+
+    def test_warm_start_leaves_start_unchanged(self):
+        # the ball projection writes into the iterate in place; the result
+        # a solve starts from must keep its matrix, dual and penalty
+        pm = noisy_partial(7)
+        delta = 0.1 * np.sqrt(pm.n_cells)
+        fit = nna(pm, 3 * delta, tol=1e-7, max_iters=4000)
+        matrix, dual, rho = fit.matrix.copy(), fit.dual.copy(), fit.rho
+        nna(pm, delta, tol=1e-7, max_iters=4000, start=fit)
+        np.testing.assert_array_equal(fit.matrix, matrix)
+        np.testing.assert_array_equal(fit.dual, dual)
+        assert fit.rho == rho
 
 
 class TestCurPlus:
@@ -520,16 +542,6 @@ class TestChenObserve:
         row = run_single_cell(a, self.model(200.0), "chen", 2, seed=5,
                               hyper=hyper)
         assert row["rel_error"] < 0.2
-
-
-class TestAdmmSettings:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdmmSettings(rho=0.0)
-        with pytest.raises(ValueError):
-            AdmmSettings(tol=-1.0)
-        with pytest.raises(ValueError):
-            AdmmSettings(max_iters=0)
 
 
 class TestSampleEntriesIntegration:

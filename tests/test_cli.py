@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+import noisycur.harness as harness
 from noisycur.cli import main
 from noisycur.datasets import synthetic_lowrank
 from noisycur.harness import parse_csv
@@ -95,6 +96,24 @@ class TestSweep:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("hyper", [
+        {"nna": {"tol": -1.0}},
+        {"nna": {"max_iters": 0}},
+        {"chen": {"phase1_fraction": 1.5}},
+    ])
+    def test_bad_hyper_value_exits_one_before_any_cell(
+            self, tmp_path, capsys, monkeypatch, hyper):
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "run_single_cell", no_cells)
+        cfg = write_config(tmp_path, {**TINY_SWEEP, "hyper": hyper})
+        code = main(["sweep", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.csv"), "--trials", "1",
+                     "--algorithms", "nna,chen"])
+        assert code == 1
+        assert "config error: hyper." in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path):
         cfg = write_config(tmp_path, {"cost": {"prices": 1}})
         code = main(["sweep", "--config", str(cfg),
@@ -148,6 +167,18 @@ class TestCv:
                      "--num", "1"])
         assert code == 0
         assert "no cross-validation split" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args", [
+        ["--lo", "10", "--hi", "1"],
+        ["--lo", "0"],
+        ["--num", "0"],
+        ["--folds", "0"],
+    ])
+    def test_bad_grid_or_folds_exit_one(self, tmp_path, capsys, args):
+        code = main(["cv", "--data", str(tmp_path / "no.npy"), "-d", "3",
+                     "-s", "8", "--sigma-c", "0.2", *args])
+        assert code == 1
+        assert "hyper.ncur." in capsys.readouterr().err
 
     def test_missing_data_file(self, tmp_path):
         code = main(["cv", "--data", str(tmp_path / "no.npy"), "-d", "3",

@@ -125,6 +125,35 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="grid"):
             resolve_hyper("nna", {"delta_factors": []})
 
+    @pytest.mark.parametrize("algorithm, key, value, message", [
+        ("nna", "tol", -1.0, "positive and finite"),
+        ("nna", "tol", 0.0, "positive and finite"),
+        ("nna", "tol", float("inf"), "positive and finite"),
+        ("chen", "cv_tol", float("nan"), "positive and finite"),
+        ("nna", "cv_tol", "small", "positive and finite"),
+        ("nna", "max_iters", 0, "a positive integer"),
+        ("nna", "max_iters", 2.5, "a positive integer"),
+        ("chen", "cv_max_iters", -3, "a positive integer"),
+        ("ncur", "cv_folds", 0, "a positive integer"),
+        ("ncur", "cv_folds", 2.5, "a positive integer"),
+        ("chen", "phase1_fraction", 1.5, r"in \(0, 1\)"),
+        ("chen", "phase1_fraction", 0.0, r"in \(0, 1\)"),
+        ("chen", "rank", 0, "a positive integer or null"),
+        ("chen", "rank", 2.5, "a positive integer or null"),
+    ])
+    def test_bad_hyper_scalar_rejected(self, algorithm, key, value, message):
+        with pytest.raises(ConfigError,
+                           match=f"hyper.{algorithm}.{key} must be {message}"):
+            config_from_dict({"hyper": {algorithm: {key: value}}})
+
+    def test_hyper_scalars_resolved(self):
+        # a YAML 1.1 float without a dot reads as a string
+        hyper = resolve_hyper("chen", {"tol": "1e-7", "rank": 3,
+                                       "phase1_fraction": 0.25})
+        assert hyper["tol"] == 1e-7
+        assert (hyper["rank"], hyper["phase1_fraction"]) == (3, 0.25)
+        assert resolve_hyper("chen")["rank"] is None
+
     def test_yaml_round_trip(self, tmp_path):
         cfg = tiny_config()
         p = tmp_path / "config.yaml"
@@ -189,6 +218,18 @@ class TestDatasetAndCostModel:
         loaded, ds = load_dataset(cfg)
         np.testing.assert_array_equal(loaded, a)
         assert ds.n_rows == 3 and ds.n_cols == 4
+
+    def test_file_kind_limits_slice(self, tmp_path):
+        a = np.arange(40.0).reshape(8, 5)
+        p = tmp_path / "m.npy"
+        np.save(p, a)
+        cfg = config_from_dict({"dataset": {
+            "kind": "file", "path": str(p), "rank": 1,
+            "row_limit": 2, "col_limit": 3}})
+        loaded, ds = load_dataset(cfg)
+        np.testing.assert_array_equal(loaded, a[:2, :3])
+        assert loaded.flags.c_contiguous
+        assert (ds.n_rows, ds.n_cols) == (2, 3)
 
     def test_jester_limits_slice(self, tmp_path):
         ratings = np.round(np.linspace(-9.0, 9.0, 6 * 100), 2).reshape(6, 100)
