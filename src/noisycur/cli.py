@@ -22,12 +22,13 @@ from .harness import (
     emit_csv,
     load_config,
     load_dataset,
+    read_matrix,
     read_raw_config,
     resolve_hyper,
     run_sweep,
     write_resolved_config,
 )
-from .linalg import as_matrix, leverage_from_svd, rank_from_singular_values
+from .linalg import leverage_from_svd, rank_from_singular_values
 from .observe import snr
 from .theory import (
     HypothesisError,
@@ -52,16 +53,6 @@ def cli():
     two-cost budget."""
 
 
-def _load_matrix(path) -> np.ndarray:
-    try:
-        a = np.load(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read matrix {path}: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"{path} is not a .npy matrix: {exc}") from None
-    return as_matrix(a, str(path))
-
-
 @cli.command()
 @click.option("--rows", type=int, default=80, show_default=True)
 @click.option("--cols", type=int, default=60, show_default=True)
@@ -73,12 +64,9 @@ def _load_matrix(path) -> np.ndarray:
               help="destination .npy file")
 def generate(rows, cols, rank, mean, std, seed, out):
     """Write a synthetic low-rank matrix to a .npy file."""
-    from .datasets import synthetic_lowrank
-
-    if rows < 1 or cols < 1 or rank < 1 or rank > min(rows, cols):
-        raise ConfigError("need rows, cols >= rank >= 1")
-    rng = np.random.default_rng(seed)
-    a = synthetic_lowrank(rows, cols, rank, mean=mean, std=std, rng=rng)
+    a, _ = load_dataset(config_from_dict({"dataset": {
+        "n_rows": rows, "n_cols": cols, "rank": rank, "mean": mean,
+        "std": std, "seed": seed}}))
     np.save(out, a)
     click.echo(f"wrote {rows}x{cols} rank-{rank} matrix to {out}")
 
@@ -234,7 +222,7 @@ def cv(data, n_columns, n_rows, sigma_c, sigma_e, lo, hi, num, folds,
     hyper = resolve_hyper("ncur", {"lambda_grid": {"lo": lo, "hi": hi,
                                                    "num": num},
                                    "cv_folds": folds})
-    a = _load_matrix(data)
+    a = read_matrix(data)
     try:
         cfg = NoisyCurConfig(n_columns=n_columns, n_rows=n_rows,
                              sigma_c=sigma_c, sigma_e=sigma_e,
@@ -275,12 +263,14 @@ def info(data, config_path, rank, sigma_c):
         if rank is None:
             rank = spec.rank
         if sigma_c is None:
-            sigma_c = float(config.cost["sigma_c"])
+            sigma_c = config.cost["sigma_c"]
     else:
-        a = _load_matrix(data)
+        a = read_matrix(data)
         name = str(data)
 
     m, n = a.shape
+    if rank is not None and not 1 <= rank <= min(m, n):
+        raise ConfigError(f"rank must be in [1, {min(m, n)}], got {rank}")
     _, sv, vt = np.linalg.svd(a, full_matrices=False)
     num_rank = rank_from_singular_values(sv, a.shape)
     rank_used = rank if rank is not None else num_rank

@@ -60,6 +60,7 @@ __all__ = [
     "config_from_dict",
     "read_raw_config",
     "load_config",
+    "read_matrix",
     "load_dataset",
     "build_cost_model",
     "Oracle",
@@ -113,68 +114,157 @@ class ConfigError(ValueError):
     """Configuration that cannot be resolved into a runnable experiment."""
 
 
+def _rule(what: str, convert, nullable: bool = False):
+    """A config rule: it maps (value, the key's dotted name) to the value
+    convert(value) and raises a ConfigError naming the key where that is
+    None or convert raises."""
+    if nullable:
+        what += " or null"
+
+    def rule(value, name):
+        if nullable and value is None:
+            return None
+        try:
+            out = convert(value)
+        except (TypeError, ValueError):
+            out = None
+        if out is None:
+            raise ConfigError(f"{name} must be {what}")
+        return out
+    return rule
+
+
+def _integer(lo: int, nullable: bool = False):
+    """An int >= lo; booleans and floats are refused, not truncated."""
+    return _rule("a positive integer" if lo else "a nonnegative integer",
+                 lambda v: v if type(v) is int and v >= lo else None,
+                 nullable)
+
+
+def _real(what: str, ok, nullable: bool = False):
+    """A finite float x with ok(x).  Numeric strings are read too: YAML 1.1
+    loads a float without a dot, such as 1e-6, as a string."""
+    def convert(value):
+        out = float(value)
+        return (out if not isinstance(value, bool) and math.isfinite(out)
+                and ok(out) else None)
+    return _rule(what, convert, nullable)
+
+
+_COUNT = _integer(1)
+_TEXT = _rule("a string", lambda v: v if isinstance(v, str) else None,
+              nullable=True)
+_POSITIVE = _real("positive and finite", lambda x: x > 0)
+_NONNEGATIVE = _real("nonnegative and finite", lambda x: x >= 0)
+_FRACTION = _real("in (0, 1)", lambda x: 0 < x < 1)
+
+
+def _nonempty_list(value, name: str, what: str) -> None:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{name} must be a nonempty list of {what}")
+
+
+def _grid(value, name: str) -> tuple:
+    """A hyperparameter grid: explicit values >= 0, sorted, or a log-spaced
+    {lo, hi, num} spec."""
+    if isinstance(value, dict):
+        unknown = set(value) - {"lo", "hi", "num"}
+        if unknown:
+            raise ConfigError(
+                f"unknown grid keys in '{name}': {sorted(unknown, key=str)}")
+        lo = _POSITIVE(value.get("lo"), f"{name}.lo")
+        hi = _POSITIVE(value.get("hi"), f"{name}.hi")
+        num = _COUNT(value.get("num"), f"{name}.num")
+        if lo > hi:
+            raise ConfigError(f"grid '{name}' needs lo <= hi")
+        return tuple(
+            np.logspace(math.log10(lo), math.log10(hi), num).tolist())
+    _nonempty_list(value, name, "numbers or a lo/hi/num grid spec")
+    return tuple(sorted(_NONNEGATIVE(v, f"{name}[{k}]")
+                        for k, v in enumerate(value)))
+
+
+def _d_grid(value, name: str) -> tuple:
+    _nonempty_list(value, name, "integers")
+    d_grid = tuple(_COUNT(d, f"{name}[{k}]") for k, d in enumerate(value))
+    if list(d_grid) != sorted(set(d_grid)):
+        raise ConfigError(f"{name} must be strictly increasing")
+    return d_grid
+
+
+def _algorithms(value, name: str) -> tuple:
+    _nonempty_list(value, name, "algorithm names")
+    unknown = [a for a in value if a not in ALGORITHM_NAMES]
+    if unknown:
+        raise ConfigError(f"{name}: unknown algorithms {unknown}; "
+                          f"choose from {ALGORITHM_NAMES}")
+    if len(set(value)) != len(value):
+        raise ConfigError(f"{name} has duplicates")
+    return tuple(value)
+
+
 DATASET_KINDS = ("synthetic", "jester", "movielens", "file")
 
-DEFAULT_DATASET = {
-    "kind": "synthetic",
-    "name": None,
-    "n_rows": 80,
-    "n_cols": 60,
-    "rank": 4,
-    "mean": 5.0,
-    "std": 1.0,
-    "seed": None,
-    "path": None,
-    "row_limit": None,
-    "col_limit": None,
-    "completion_rank": None,
+_ADMM = {
+    "delta_factors": ({"lo": 1e-2, "hi": 1e2, "num": 20}, _grid),
+    "tol": (1e-6, _POSITIVE),
+    "max_iters": (2000, _COUNT),
+    "cv_tol": (1e-5, _POSITIVE),
+    "cv_max_iters": (800, _COUNT),
 }
 
-DEFAULT_COST = {
-    "entry_price": 1.0,
-    "alpha": 0.2,
-    "sigma_e": 0.1,
-    "sigma_c": math.sqrt(0.05),
-    "budget_factor": 2.0,
-    "budget": None,
-}
-
-DEFAULT_SWEEP = {
-    "d_grid": (2, 4, 6, 8, 10, 12, 16, 20, 26, 32),
-    "n_trials": 10,
-    "algorithms": ("ncur", "curplus", "nna", "chen"),
-    "master_seed": 0,
-    "workers": 1,
-}
-
-# Per-algorithm hyperparameter defaults.  Grid-valued keys (anything
-# ending in _grid or _factors) accept either a list of values or a
-# {"lo": ..., "hi": ..., "num": ...} log-spacing spec.
-DEFAULT_HYPER = {
-    "ncur": {
-        "lambda_grid": {"lo": 1e-6, "hi": 1e3, "num": 40},
-        "cv_folds": 5,
+# {section: {key: (default, rule)}}, with one such table per algorithm
+# under "hyper".  Defaults go through their rules too, so a grid default
+# may be a lo/hi/num spec.
+SCHEMA = {
+    "dataset": {
+        "kind": ("synthetic",
+                 _rule(f"one of {DATASET_KINDS}",
+                       lambda v: v if v in DATASET_KINDS else None)),
+        "name": (None, _TEXT),
+        "n_rows": (80, _COUNT),
+        "n_cols": (60, _COUNT),
+        "rank": (4, _COUNT),
+        "mean": (5.0, _real("a finite number", lambda x: True)),
+        "std": (1.0, _NONNEGATIVE),
+        "seed": (None, _integer(0, nullable=True)),
+        "path": (None, _TEXT),
+        "row_limit": (None, _integer(1, nullable=True)),
+        "col_limit": (None, _integer(1, nullable=True)),
+        "completion_rank": (None, _integer(1, nullable=True)),
     },
-    "curplus": {},
-    "nna": {
-        "delta_factors": {"lo": 1e-2, "hi": 1e2, "num": 20},
-        "tol": 1e-6,
-        "max_iters": 2000,
-        "cv_tol": 1e-5,
-        "cv_max_iters": 800,
+    "cost": {
+        "entry_price": (1.0, _POSITIVE),
+        "alpha": (0.2, _FRACTION),
+        "sigma_e": (0.1, _NONNEGATIVE),
+        "sigma_c": (math.sqrt(0.05), _POSITIVE),
+        "budget_factor": (2.0, _POSITIVE),
+        "budget": (None, _real("positive and finite", lambda x: x > 0,
+                               nullable=True)),
     },
-    "chen": {
-        "phase1_fraction": 0.5,
-        "rank": None,
-        "delta_factors": {"lo": 1e-2, "hi": 1e2, "num": 20},
-        "tol": 1e-6,
-        "max_iters": 2000,
-        "cv_tol": 1e-5,
-        "cv_max_iters": 800,
+    "sweep": {
+        "d_grid": ((2, 4, 6, 8, 10, 12, 16, 20, 26, 32), _d_grid),
+        "n_trials": (10, _COUNT),
+        "algorithms": (("ncur", "curplus", "nna", "chen"), _algorithms),
+        "master_seed": (0, _integer(0)),
+        "workers": (1, _COUNT),
+    },
+    "hyper": {
+        "ncur": {
+            "lambda_grid": ({"lo": 1e-6, "hi": 1e3, "num": 40}, _grid),
+            "cv_folds": (5, _COUNT),
+        },
+        "curplus": {},
+        "nna": _ADMM,
+        "chen": {
+            "phase1_fraction": (0.5, _FRACTION),
+            "rank": (None, _integer(1, nullable=True)),
+            **_ADMM,
+        },
     },
 }
 
-ALGORITHM_NAMES = tuple(DEFAULT_HYPER)
+ALGORITHM_NAMES = tuple(SCHEMA["hyper"])
 # Pure entry samplers whose output ignores d; they run once per trial and
 # are replicated across the d axis.
 D_INDEPENDENT = frozenset({"nna", "chen"})
@@ -212,176 +302,66 @@ class ExperimentConfig:
         }
 
 
-def _merge_section(defaults: dict, given, section: str) -> dict:
+def _mapping(given, section: str) -> dict:
     if given is None:
-        return dict(defaults)
+        return {}
     if not isinstance(given, dict):
         raise ConfigError(f"section '{section}' must be a mapping")
-    unknown = set(given) - set(defaults)
+    return given
+
+
+def _resolve(schema: dict, given, section: str) -> dict:
+    """Every key of schema, given or defaulted, put through its rule."""
+    given = _mapping(given, section)
+    unknown = set(given) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown keys in '{section}': {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update(given)
-    return merged
-
-
-def _as_grid(value, name: str) -> tuple:
-    """A hyperparameter grid: explicit values, or a log-spaced spec."""
-    if isinstance(value, dict):
-        unknown = set(value) - {"lo", "hi", "num"}
-        if unknown:
-            raise ConfigError(
-                f"unknown grid keys in '{name}': {sorted(unknown)}")
-        try:
-            lo = float(value["lo"])
-            hi = float(value["hi"])
-            num = int(value["num"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad grid spec for '{name}': {exc}") from None
-        if not (0 < lo <= hi) or num < 1:
-            raise ConfigError(f"grid '{name}' needs 0 < lo <= hi and num >= 1")
-        return tuple(float(v) for v in
-                     np.logspace(math.log10(lo), math.log10(hi), num))
-    try:
-        values = tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"grid '{name}' must be a list of numbers or a "
-                          "lo/hi/num spec") from None
-    if not values:
-        raise ConfigError(f"grid '{name}' is empty")
-    if any(v < 0 for v in values):
-        raise ConfigError(f"grid '{name}' has negative values")
-    return tuple(sorted(values))
-
-
-def _float_in(value, name: str, lo: float, hi: float, what: str) -> float:
-    """float(value), which must lie strictly between lo and hi."""
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        out = math.nan
-    if not lo < out < hi:
-        raise ConfigError(f"{name} must be {what}")
-    return out
+        raise ConfigError(
+            f"unknown keys in '{section}': {sorted(unknown, key=str)}")
+    return {key: rule(given.get(key, default), f"{section}.{key}")
+            for key, (default, rule) in schema.items()}
 
 
 def resolve_hyper(algorithm: str, overrides: dict | None = None) -> dict:
-    """Merge per-algorithm hyper settings over the defaults, expanding grids
-    and checking every scalar, so that a bad value fails before any cell
-    runs."""
-    if algorithm not in DEFAULT_HYPER:
+    """Per-algorithm hyper settings over the defaults, grids expanded and
+    every value checked, so that a bad value fails before any cell runs."""
+    if algorithm not in ALGORITHM_NAMES:
         raise ConfigError(f"unknown algorithm '{algorithm}'; "
                           f"choose from {ALGORITHM_NAMES}")
-    merged = _merge_section(DEFAULT_HYPER[algorithm], overrides,
-                            f"hyper.{algorithm}")
-    for key, value in merged.items():
-        name = f"hyper.{algorithm}.{key}"
-        if key.endswith("_grid") or key.endswith("_factors"):
-            merged[key] = _as_grid(value, name)
-        elif key in ("tol", "cv_tol"):
-            merged[key] = _float_in(value, name, 0.0, math.inf,
-                                    "positive and finite")
-        elif key == "phase1_fraction":
-            merged[key] = _float_in(value, name, 0.0, 1.0, "in (0, 1)")
-        elif key in ("max_iters", "cv_max_iters", "cv_folds"):
-            if not (isinstance(value, int) and value >= 1):
-                raise ConfigError(f"{name} must be a positive integer")
-        elif key == "rank" and value is not None and not (
-                isinstance(value, int) and value >= 1):
-            raise ConfigError(f"{name} must be a positive integer or null")
-    return merged
-
-
-def _validate_config(dataset: dict, cost: dict, sweep: dict,
-                     hyper: dict) -> ExperimentConfig:
-    if dataset["kind"] not in DATASET_KINDS:
-        raise ConfigError(f"unknown dataset kind '{dataset['kind']}'; "
-                          f"choose from {DATASET_KINDS}")
-    if dataset["kind"] == "synthetic":
-        for key in ("n_rows", "n_cols", "rank"):
-            if not (isinstance(dataset[key], int) and dataset[key] >= 1):
-                raise ConfigError(f"dataset.{key} must be a positive integer")
-        if dataset["rank"] > min(dataset["n_rows"], dataset["n_cols"]):
-            raise ConfigError("dataset.rank exceeds the matrix dimensions")
-    else:
-        if not dataset["path"]:
-            raise ConfigError(f"dataset kind '{dataset['kind']}' needs a path")
-        if not (isinstance(dataset["rank"], int) and dataset["rank"] >= 1):
-            raise ConfigError("dataset.rank must be a positive integer "
-                              "(it sizes the budget)")
-    for key in ("row_limit", "col_limit"):
-        if dataset[key] is not None and not (
-                isinstance(dataset[key], int) and dataset[key] >= 1):
-            raise ConfigError(f"dataset.{key} must be a positive integer "
-                              "or null")
-
-    if not cost["entry_price"] > 0:
-        raise ConfigError("cost.entry_price must be positive")
-    if not 0 < cost["alpha"] < 1:
-        raise ConfigError("cost.alpha must be in (0, 1): a column read must "
-                          "cost less than reading the column entrywise")
-    if not 0 <= cost["sigma_e"] < cost["sigma_c"]:
-        raise ConfigError("need cost.sigma_c > cost.sigma_e >= 0")
-    if cost["budget"] is None:
-        if not cost["budget_factor"] > 0:
-            raise ConfigError("cost.budget_factor must be positive")
-    elif not cost["budget"] > 0:
-        raise ConfigError("cost.budget must be positive when given")
-
-    try:
-        d_grid = tuple(int(d) for d in sweep["d_grid"])
-    except (TypeError, ValueError):
-        raise ConfigError("sweep.d_grid must be a list of integers") from None
-    if not d_grid or any(d < 1 for d in d_grid):
-        raise ConfigError("sweep.d_grid must be nonempty positive integers")
-    if list(d_grid) != sorted(set(d_grid)):
-        raise ConfigError("sweep.d_grid must be strictly increasing")
-    if not (isinstance(sweep["n_trials"], int) and sweep["n_trials"] >= 1):
-        raise ConfigError("sweep.n_trials must be a positive integer")
-    algorithms = tuple(sweep["algorithms"])
-    if not algorithms:
-        raise ConfigError("sweep.algorithms is empty")
-    unknown = [a for a in algorithms if a not in ALGORITHM_NAMES]
-    if unknown:
-        raise ConfigError(f"unknown algorithms {unknown}; "
-                          f"choose from {ALGORITHM_NAMES}")
-    if len(set(algorithms)) != len(algorithms):
-        raise ConfigError("sweep.algorithms has duplicates")
-    if not (isinstance(sweep["master_seed"], int)
-            and sweep["master_seed"] >= 0):
-        raise ConfigError("sweep.master_seed must be a nonnegative integer")
-    if not (isinstance(sweep["workers"], int) and sweep["workers"] >= 1):
-        raise ConfigError("sweep.workers must be a positive integer")
-
-    if not isinstance(hyper, dict):
-        raise ConfigError("section 'hyper' must be a mapping")
-    unknown = set(hyper) - set(DEFAULT_HYPER)
-    if unknown:
-        raise ConfigError(
-            f"hyper settings for unknown algorithms: {sorted(unknown)}")
-    resolved = {name: resolve_hyper(name, hyper.get(name))
-                for name in DEFAULT_HYPER}
-
-    return ExperimentConfig(
-        dataset=dataset, cost=cost, d_grid=d_grid,
-        n_trials=sweep["n_trials"], algorithms=algorithms,
-        master_seed=sweep["master_seed"], workers=sweep["workers"],
-        hyper=resolved,
-    )
+    return _resolve(SCHEMA["hyper"][algorithm], overrides,
+                    f"hyper.{algorithm}")
 
 
 def config_from_dict(raw) -> ExperimentConfig:
+    """Resolve a raw config mapping: SCHEMA's defaults and rules for each
+    key, then the rules that tie keys together."""
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a mapping")
-    unknown = set(raw) - {"dataset", "cost", "sweep", "hyper"}
+    unknown = set(raw) - set(SCHEMA)
     if unknown:
-        raise ConfigError(f"unknown top-level sections: {sorted(unknown)}")
-    dataset = _merge_section(DEFAULT_DATASET, raw.get("dataset"), "dataset")
-    cost = _merge_section(DEFAULT_COST, raw.get("cost"), "cost")
-    sweep = _merge_section(DEFAULT_SWEEP, raw.get("sweep"), "sweep")
-    return _validate_config(dataset, cost, sweep, raw.get("hyper", {}))
+        raise ConfigError(
+            f"unknown top-level sections: {sorted(unknown, key=str)}")
+    dataset, cost, sweep = (_resolve(SCHEMA[section], raw.get(section),
+                                     section)
+                            for section in ("dataset", "cost", "sweep"))
+    if dataset["kind"] == "synthetic":
+        if dataset["rank"] > min(dataset["n_rows"], dataset["n_cols"]):
+            raise ConfigError("dataset.rank exceeds the matrix dimensions")
+    elif not dataset["path"]:
+        raise ConfigError(f"dataset kind '{dataset['kind']}' needs a path")
+    if not cost["sigma_e"] < cost["sigma_c"]:
+        raise ConfigError("need cost.sigma_c > cost.sigma_e >= 0")
+
+    hyper = _mapping(raw.get("hyper"), "hyper")
+    unknown = set(hyper) - set(ALGORITHM_NAMES)
+    if unknown:
+        raise ConfigError("hyper settings for unknown algorithms: "
+                          f"{sorted(unknown, key=str)}")
+    return ExperimentConfig(
+        dataset=dataset, cost=cost, **sweep,
+        hyper={name: resolve_hyper(name, hyper.get(name))
+               for name in ALGORITHM_NAMES})
 
 
 def read_raw_config(path) -> dict:
@@ -410,6 +390,18 @@ def write_resolved_config(config: ExperimentConfig, path) -> None:
                        default_flow_style=False)
 
 
+def read_matrix(path) -> np.ndarray:
+    """The 2-D matrix stored in a .npy file.  A file that cannot be opened
+    or is not a .npy array is a ConfigError."""
+    try:
+        a = np.load(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read matrix {path}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not a .npy matrix: {exc}") from None
+    return as_matrix(a, str(path))
+
+
 def load_dataset(config: ExperimentConfig):
     """Materialize the ground-truth matrix for a sweep.
 
@@ -417,6 +409,7 @@ def load_dataset(config: ExperimentConfig):
     for movielens, completed to a dense matrix first; the configured rank
     sizes the budget and is not a claim about the data itself.  Every
     kind is then cut to its first row_limit rows and col_limit columns.
+    A dataset file that cannot be opened is a ConfigError.
     """
     ds = config.dataset
     kind = ds["kind"]
@@ -425,25 +418,29 @@ def load_dataset(config: ExperimentConfig):
         seed = ds["seed"]
         if seed is None:
             seed = cell_seed(config.master_seed, "dataset", "synthetic")
-        rng = np.random.default_rng(int(seed))
         a = synthetic_lowrank(ds["n_rows"], ds["n_cols"], ds["rank"],
-                              mean=ds["mean"], std=ds["std"], rng=rng)
-    elif kind == "jester":
-        a = load_jester(ds["path"])
-    elif kind == "movielens":
-        pm = load_movielens_100k(ds["path"])
-        completion_rank = ds["completion_rank"] or ds["rank"]
-        a, info = iterative_svd_complete(pm, completion_rank)
-        if not info["converged"]:
-            warnings.warn(
-                f"iterative-SVD completion of {ds['path']} stopped after "
-                f"{info['iterations']} iterations without converging; the "
-                "dataset is its last iterate",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+                              mean=ds["mean"], std=ds["std"],
+                              rng=np.random.default_rng(seed))
+    elif kind == "file":
+        a = read_matrix(ds["path"])
     else:
-        a = np.load(ds["path"])
+        reader = load_jester if kind == "jester" else load_movielens_100k
+        try:
+            a = reader(ds["path"])
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot read dataset {ds['path']}: {exc}") from None
+        if kind == "movielens":
+            completion_rank = ds["completion_rank"] or ds["rank"]
+            a, info = iterative_svd_complete(a, completion_rank)
+            if not info["converged"]:
+                warnings.warn(
+                    f"iterative-SVD completion of {ds['path']} stopped "
+                    f"after {info['iterations']} iterations without "
+                    "converging; the dataset is its last iterate",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
     a = np.ascontiguousarray(
         as_matrix(a, "dataset")[: ds["row_limit"], : ds["col_limit"]])
     if a.size == 0:
@@ -461,15 +458,14 @@ def build_cost_model(config: ExperimentConfig, n_rows: int,
     budget_factor * n_rows * rank * entry_price unless given explicitly.
     """
     cost = config.cost
-    entry_price = float(cost["entry_price"])
-    column_price = float(cost["alpha"]) * n_rows * entry_price
+    entry_price = cost["entry_price"]
     budget = cost["budget"]
     if budget is None:
-        budget = float(cost["budget_factor"]) * n_rows * rank * entry_price
-    model = TwoCostModel(entry_price=entry_price, column_price=column_price,
-                         sigma_e=float(cost["sigma_e"]),
-                         sigma_c=float(cost["sigma_c"]),
-                         budget=float(budget))
+        budget = cost["budget_factor"] * n_rows * rank * entry_price
+    model = TwoCostModel(entry_price=entry_price,
+                         column_price=cost["alpha"] * n_rows * entry_price,
+                         sigma_e=cost["sigma_e"], sigma_c=cost["sigma_c"],
+                         budget=budget)
     model.validate_for_rows(n_rows)
     return model
 

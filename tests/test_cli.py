@@ -23,6 +23,10 @@ def write_config(tmp_path, payload=TINY_SWEEP, name="config.yaml"):
     return p
 
 
+def no_cells(*args, **kwargs):
+    raise AssertionError("a cell ran")
+
+
 class TestGenerate:
     def test_writes_expected_matrix(self, tmp_path, capsys):
         out = tmp_path / "a.npy"
@@ -42,6 +46,15 @@ class TestGenerate:
     def test_missing_required_option(self, capsys):
         assert main(["generate"]) == 1
         assert "Missing option" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, key", [("--std", "dataset.std"),
+                                           ("--seed", "dataset.seed")])
+    def test_negative_std_or_seed_exits_one(self, tmp_path, capsys, flag,
+                                            key):
+        code = main(["generate", flag, "-1", "--out", str(tmp_path / "a.npy")])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "a.npy").exists()
 
 
 class TestSweep:
@@ -113,6 +126,35 @@ class TestSweep:
                      "--algorithms", "nna,chen"])
         assert code == 1
         assert "config error: hyper." in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("cost", "entry_price", "abc"),
+        ("cost", "sigma_c", None),
+        ("cost", "budget_factor", "x"),
+        ("dataset", "seed", -1),
+        ("sweep", "algorithms", "ncur"),
+        ("sweep", "d_grid", "248"),
+    ])
+    def test_bad_value_exits_one_before_any_cell(
+            self, tmp_path, capsys, monkeypatch, section, key, value):
+        monkeypatch.setattr(harness, "run_single_cell", no_cells)
+        raw = {**TINY_SWEEP, section: {**TINY_SWEEP.get(section, {}),
+                                       key: value}}
+        code = main(["sweep", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert f"config error: {section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["jester", "file"])
+    def test_missing_dataset_file_exits_one_before_any_cell(
+            self, tmp_path, capsys, monkeypatch, kind):
+        monkeypatch.setattr(harness, "run_single_cell", no_cells)
+        raw = {**TINY_SWEEP, "dataset": {
+            "kind": kind, "path": str(tmp_path / "absent"), "rank": 2}}
+        code = main(["sweep", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "cannot read" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path):
         cfg = write_config(tmp_path, {"cost": {"prices": 1}})
@@ -224,6 +266,16 @@ class TestInfo:
         assert main(["info"]) == 1
         assert main(["info", "--data", str(data),
                      "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("rank", ["0", "9"])
+    def test_rank_out_of_range_exits_one(self, tmp_path, capsys, rank):
+        data = tmp_path / "a.npy"
+        np.save(data, np.arange(48.0).reshape(8, 6))
+        assert main(["info", "--data", str(data), "--rank", rank]) == 1
+        assert "rank must be in [1, 6]" in capsys.readouterr().err
+
+    def test_missing_data_file(self, tmp_path):
+        assert main(["info", "--data", str(tmp_path / "none.npy")]) == 1
 
 
 class TestTopLevel:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import platform
+import re
 import sys
 
 import numpy as np
@@ -192,6 +193,60 @@ class TestConfigResolution:
             config_from_dict({"dataset": {"kind": "jester", "path": "j.csv",
                                           "rank": 2, key: value}})
 
+    @pytest.mark.parametrize("key, value", [
+        ("cost.entry_price", math.inf),
+        ("cost.entry_price", "abc"),
+        ("cost.budget", math.inf),
+        ("cost.budget_factor", "x"),
+        ("cost.sigma_c", None),
+        ("dataset.mean", "x"),
+        ("dataset.std", -1),
+        ("dataset.seed", -1),
+        ("dataset.seed", "abc"),
+        ("dataset.name", 5),
+        ("dataset.completion_rank", 0),
+        ("sweep.n_trials", True),
+        ("sweep.d_grid", [2.7, 4]),
+        ("sweep.d_grid", "248"),
+        ("sweep.algorithms", "ncur"),
+        ("hyper.ncur.lambda_grid", [math.nan, 1.0]),
+        ("hyper.ncur.lambda_grid", [math.inf]),
+        ("hyper.ncur.lambda_grid", {"lo": 1e-3, "hi": 1.0, "num": 2.5}),
+        ("hyper.nna.max_iters", True),
+    ])
+    def test_bad_value_rejected_naming_its_key(self, key, value):
+        raw = value
+        for part in reversed(key.split(".")):
+            raw = {part: raw}
+        with pytest.raises(ConfigError, match="^" + re.escape(key)):
+            config_from_dict(raw)
+
+    def test_defaults_pinned(self):
+        def log_grid(lo, hi, num):
+            return [float(v) for v in np.logspace(lo, hi, num)]
+
+        admm = {"delta_factors": log_grid(-2, 2, 20), "tol": 1e-6,
+                "max_iters": 2000, "cv_tol": 1e-5, "cv_max_iters": 800}
+        assert config_from_dict({}).to_dict() == {
+            "dataset": {"kind": "synthetic", "name": None, "n_rows": 80,
+                        "n_cols": 60, "rank": 4, "mean": 5.0, "std": 1.0,
+                        "seed": None, "path": None, "row_limit": None,
+                        "col_limit": None, "completion_rank": None},
+            "cost": {"entry_price": 1.0, "alpha": 0.2, "sigma_e": 0.1,
+                     "sigma_c": math.sqrt(0.05), "budget_factor": 2.0,
+                     "budget": None},
+            "sweep": {"d_grid": [2, 4, 6, 8, 10, 12, 16, 20, 26, 32],
+                      "n_trials": 10,
+                      "algorithms": ["ncur", "curplus", "nna", "chen"],
+                      "master_seed": 0, "workers": 1},
+            "hyper": {"ncur": {"lambda_grid": log_grid(-6, 3, 40),
+                               "cv_folds": 5},
+                      "curplus": {},
+                      "nna": admm,
+                      "chen": {"phase1_fraction": 0.5, "rank": None,
+                               **admm}},
+        }
+
 
 class TestDatasetAndCostModel:
     def test_synthetic_load(self):
@@ -249,6 +304,21 @@ class TestDatasetAndCostModel:
         cfg = config_from_dict({
             "dataset": {"kind": "file", "path": str(p), "rank": 1}})
         with pytest.raises(ConfigError, match="is empty: shape"):
+            load_dataset(cfg)
+
+    @pytest.mark.parametrize("kind", ["jester", "movielens", "file"])
+    def test_missing_dataset_file(self, tmp_path, kind):
+        cfg = config_from_dict({"dataset": {
+            "kind": kind, "path": str(tmp_path / "absent"), "rank": 1}})
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_dataset(cfg)
+
+    def test_file_kind_not_npy(self, tmp_path):
+        p = tmp_path / "m.npy"
+        p.write_text("not an array\n")
+        cfg = config_from_dict({
+            "dataset": {"kind": "file", "path": str(p), "rank": 1}})
+        with pytest.raises(ConfigError, match="is not a .npy matrix"):
             load_dataset(cfg)
 
     def test_movielens_unconverged_completion_warns(self, tmp_path,
