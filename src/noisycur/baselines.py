@@ -300,6 +300,11 @@ def curplus(c_cols, r_rows, obs: PartialMatrix) -> CurPlusFit:
         raise ValueError("column/row factors do not match the observation shape")
     d1, d2 = c.shape[1], r.shape[0]
     size = max(obs.n_cells, d1 * d2)
+    kernel = obs.n_cells < d1 * d2
+    if not kernel:
+        # Before the gathers, so that the Gram's m x n mask and m x d1^2
+        # products are freed before the two cells x d arrays exist.
+        f = _pinv_factor(_kron_gram(c, r, obs), size)
 
     c_obs, r_obs = c[obs.rows], r[:, obs.cols].T
 
@@ -310,12 +315,11 @@ def curplus(c_cols, r_rows, obs: PartialMatrix) -> CurPlusFit:
         return obs.values - np.einsum("kb,kb->k", c_obs @ x.reshape(d1, d2),
                                       r_obs)
 
-    if obs.n_cells < d1 * d2:
+    if kernel:
         f = _pinv_factor((c_obs @ c_obs.T) * (r_obs @ r_obs.T), size)
         x = design_t(f @ (f.T @ obs.values))
         x += design_t(f @ (f.T @ residual(x)))
     else:
-        f = _pinv_factor(_kron_gram(c, r, obs), size)
         x = f @ (f.T @ design_t(obs.values))
         x += f @ (f.T @ design_t(residual(x)))
     core = x.reshape(d1, d2)

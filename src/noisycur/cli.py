@@ -101,7 +101,9 @@ def sweep(config_path, out, master_seed, trials, workers, d_grid,
     """Run the budget sweep described by a config file; write one CSV row
     per (algorithm, d, trial) cell plus the resolved config beside it."""
     raw = read_raw_config(config_path)
-    overrides = raw.setdefault("sweep", {})
+    overrides = raw.get("sweep")
+    if overrides is None:  # an empty `sweep:` section takes the defaults
+        overrides = raw["sweep"] = {}
     if not isinstance(overrides, dict):
         raise ConfigError("section 'sweep' must be a mapping")
     if master_seed is not None:

@@ -7,8 +7,8 @@ iterative truncated-SVD imputer and treat the completed matrix as ground
 truth.
 """
 
-import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +72,12 @@ def synthetic_lowrank(n_rows: int, n_cols: int, rank: int,
 
 
 def _split_fields(line: str):
-    if "," in line:
-        return [f.strip() for f in line.split(",")]
-    return line.split()
+    if "," not in line:
+        return line.split()
+    fields = line.split(",")
+    if len(line.split(maxsplit=1)) > 1:  # whitespace inside: strip fields
+        fields = list(map(str.strip, fields))
+    return fields
 
 
 def load_jester(path, expected_users: int | None = None) -> np.ndarray:
@@ -84,50 +87,63 @@ def load_jester(path, expected_users: int | None = None) -> np.ndarray:
     in [-10, 10] with 99 marking missing.  Returns the complete-user
     submatrix (n_complete x 100).  If expected_users is given and fewer
     complete rows are found, raises with the actual count.
+
+    The file is read in one streaming pass: each row's fields go through
+    Python's ``float`` into one flat buffer, and the range, rated-count and
+    declared-count checks then run on the whole array at once.  Errors and
+    warnings come out as a line-by-line parser would give them: the first
+    error in file order wins, whether it is a field-count, number, range or
+    rated-count error (or a read error), and each declared-count mismatch
+    on a line before it warns, in file order.  On one line a range error
+    comes before a bad rated-count, and neither line warns.
     """
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = _split_fields(line)
-            if len(fields) != JESTER_N_JOKES + 1:
-                raise ParseError(
-                    f"line {lineno}: expected {JESTER_N_JOKES + 1} fields, "
-                    f"got {len(fields)}"
-                )
-            try:
-                values = [float(f) for f in fields]
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-            declared = values[0]
-            ratings = np.asarray(values[1:])
-            missing = ratings == JESTER_MISSING
-            bad = ~missing & (~np.isfinite(ratings)
-                              | (ratings < -10.0) | (ratings > 10.0))
-            if bad.any():
-                raise ParseError(
-                    f"line {lineno}: rating {ratings[bad][0]} outside [-10, 10]"
-                )
-            if not math.isfinite(declared):
-                raise ParseError(f"line {lineno}: bad rated-count {declared}")
-            n_rated = int((~missing).sum())
-            if int(declared) != n_rated:
-                warnings.warn(
-                    f"line {lineno}: declared count {int(declared)} != "
-                    f"observed {n_rated}",
-                    stacklevel=2,
-                )
-            if n_rated == JESTER_N_JOKES:
-                rows.append(ratings)
-    if expected_users is not None and len(rows) < expected_users:
+    width = JESTER_N_JOKES + 1
+    buf, linenos = array("d"), []
+    stop = None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                fields = _split_fields(line)
+                if len(fields) != width:
+                    raise ParseError(f"line {lineno}: expected {width} "
+                                     f"fields, got {len(fields)}")
+                try:  # a row that fails to parse adds nothing to buf
+                    buf.fromlist(list(map(float, fields)))
+                except ValueError as exc:
+                    raise ParseError(f"line {lineno}: {exc}") from None
+                linenos.append(lineno)
+    except (OSError, ValueError) as exc:
+        # Rows read before the failing line are checked first: one of them
+        # may hold an earlier error.
+        stop = exc
+    data = np.frombuffer(buf).reshape(-1, width)
+    declared, ratings = data[:, 0], data[:, 1:]
+    valid = ratings == JESTER_MISSING
+    n_rated = JESTER_N_JOKES - valid.sum(axis=1)
+    valid |= (ratings >= -10.0) & (ratings <= 10.0)  # false on NaN
+    row_bad = ~valid.all(axis=1) | ~np.isfinite(declared)
+    n_ok = int(row_bad.argmax()) if row_bad.any() else len(data)
+    for k in np.flatnonzero(np.trunc(declared[:n_ok]) != n_rated[:n_ok]):
+        warnings.warn(f"line {linenos[k]}: declared count {int(declared[k])}"
+                      f" != observed {n_rated[k]}", stacklevel=2)
+    if n_ok < len(data):
+        bad = ratings[n_ok][~valid[n_ok]]
+        if bad.size:
+            raise ParseError(f"line {linenos[n_ok]}: rating {bad[0]} "
+                             "outside [-10, 10]")
+        raise ParseError(f"line {linenos[n_ok]}: bad rated-count "
+                         f"{float(declared[n_ok])}")
+    if stop is not None:
+        raise stop
+    complete = ratings[n_rated == JESTER_N_JOKES]
+    if expected_users is not None and len(complete) < expected_users:
         raise ValueError(
-            f"expected {expected_users} complete users, found {len(rows)}"
+            f"expected {expected_users} complete users, found {len(complete)}"
         )
-    if not rows:
-        return np.empty((0, JESTER_N_JOKES))
-    return np.vstack(rows)
+    return complete
 
 
 def load_movielens_100k(path) -> PartialMatrix:

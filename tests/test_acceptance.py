@@ -318,12 +318,16 @@ def test_criterion_9_reproducible_csv(fig2_sweep, tmp_path):
     first = tmp_path / "first.csv"
     again = tmp_path / "again.csv"
     emit_csv(rows, first, include_wall_time=False)
+    # The re-run uses two worker processes, so it also checks that the
+    # CSV does not depend on how cells are scheduled.
+    pooled = {"sweep": {**FIG2_RAW["sweep"], "workers": 2}}
     t0 = time.perf_counter()
-    emit_csv(run_sweep(config_from_dict(FIG2_RAW)), again,
+    emit_csv(run_sweep(config_from_dict(pooled)), again,
              include_wall_time=False)
     elapsed = time.perf_counter() - t0
     identical = first.read_bytes() == again.read_bytes()
-    _line("criterion 9", f"re-run byte-identical={identical}, {elapsed:.0f}s")
+    _line("criterion 9", f"2-worker re-run byte-identical={identical}, "
+          f"{elapsed:.0f}s")
     assert identical
 
 

@@ -156,6 +156,18 @@ class TestSweep:
         assert code == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_null_sweep_section_takes_defaults(self, tmp_path):
+        cfg = write_config(tmp_path, {**TINY_SWEEP, "sweep": None})
+        out = tmp_path / "o.csv"
+        code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--trials", "1", "--d-grid", "2",
+                     "--algorithms", "ncur"])
+        assert code == 0
+        assert len(parse_csv(out)) == 1
+        resolved = yaml.safe_load((tmp_path / "o.config.yaml").read_text())
+        defaults = harness.config_from_dict({}).to_dict()["sweep"]
+        assert resolved["sweep"]["master_seed"] == defaults["master_seed"]
+
     def test_unknown_config_key(self, tmp_path):
         cfg = write_config(tmp_path, {"cost": {"prices": 1}})
         code = main(["sweep", "--config", str(cfg),

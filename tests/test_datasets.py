@@ -1,10 +1,14 @@
 """Synthetic generator, ratings-file loaders, iterative SVD completion."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from noisycur.baselines import PartialMatrix
 from noisycur.datasets import (
+    JESTER_MISSING,
     JESTER_N_JOKES,
     DatasetSpec,
     ParseError,
@@ -147,6 +151,190 @@ class TestLoadJester:
         p = tmp_path / "jester.csv"
         p.write_text("\n".join(lines) + "\n")
         np.testing.assert_array_equal(load_jester(p), load_jester(p))
+
+
+def reference_load_jester(path, expected_users=None):
+    """The line-by-line joke-ratings parser that load_jester must match."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if "," in line:
+                fields = [f.strip() for f in line.split(",")]
+            else:
+                fields = line.split()
+            if len(fields) != JESTER_N_JOKES + 1:
+                raise ParseError(
+                    f"line {lineno}: expected {JESTER_N_JOKES + 1} fields, "
+                    f"got {len(fields)}"
+                )
+            try:
+                values = [float(f) for f in fields]
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+            declared = values[0]
+            ratings = np.asarray(values[1:])
+            missing = ratings == JESTER_MISSING
+            bad = ~missing & (~np.isfinite(ratings)
+                              | (ratings < -10.0) | (ratings > 10.0))
+            if bad.any():
+                raise ParseError(
+                    f"line {lineno}: rating {ratings[bad][0]} outside [-10, 10]"
+                )
+            if not math.isfinite(declared):
+                raise ParseError(f"line {lineno}: bad rated-count {declared}")
+            n_rated = int((~missing).sum())
+            if int(declared) != n_rated:
+                warnings.warn(
+                    f"line {lineno}: declared count {int(declared)} != "
+                    f"observed {n_rated}",
+                    stacklevel=2,
+                )
+            if n_rated == JESTER_N_JOKES:
+                rows.append(ratings)
+    if expected_users is not None and len(rows) < expected_users:
+        raise ValueError(
+            f"expected {expected_users} complete users, found {len(rows)}"
+        )
+    if not rows:
+        return np.empty((0, JESTER_N_JOKES))
+    return np.vstack(rows)
+
+
+def _outcome(loader, path, **kwargs):
+    """(result or (exception type, message), [(category, message), ...])."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = loader(path, **kwargs)
+        except Exception as exc:  # the outcome under test
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _jester_cases():
+    rng = np.random.default_rng(21)
+
+    def ratings(gaps=0):
+        r = [f"{v:.2f}" for v in rng.uniform(-10, 10, JESTER_N_JOKES)]
+        for j in rng.choice(JESTER_N_JOKES, size=gaps, replace=False):
+            r[j] = "99"
+        return r
+
+    def row(r, declared=None, sep=" "):
+        if declared is None:
+            declared = sum(1 for v in r if v != "99")
+        return sep.join([str(declared)] + list(r))
+
+    def with_rating(value, at=7, declared=None):
+        r = ratings()
+        r[at] = value
+        return row(r, declared)
+
+    good = [row(ratings(gaps=g)) for g in (0, 0, 3, 0, 100, 0)]
+    spaced_commas = ", ".join(["100"] + ratings())
+    missing_spelled = ratings()
+    missing_spelled[:3] = ["99", "99.0", "9.9e1"]
+    short = "3 1.0 2.0"
+    not_a_number = row(ratings()[:-1] + ["abc"])
+    empty_field = ",".join(["100"] + ratings()[:-1] + [""])
+    mismatch = row(ratings(), declared=50)
+    # str.strip also drops the \x1c-\x1f separators, which float() keeps
+    odd_spaces = ["100"] + ratings()
+    odd_spaces[1:4] = [" 1.5\t", "\x1c-2", "\u30002.25\u2003"]
+    separator_only = ["100"] + ratings()
+    separator_only[5] = "\x1f3.5"
+    spaced_bad = ["100"] + ratings()
+    spaced_bad[9] = "  abc "
+    return {
+        "valid": "\n".join(good) + "\n",
+        "valid_no_final_newline": "\n".join(good),
+        "crlf": "\r\n".join(good) + "\r\n",
+        "blank_lines": "\n\n" + "\n  \n\t\n".join(good) + "\n\n",
+        "empty": "",
+        "only_blank": "\n \n\r\n",
+        "mixed_separators": "\n".join([good[0], row(ratings(), sep=","),
+                                       spaced_commas, good[2]]) + "\n",
+        "spaces_round_comma_fields": ",".join(odd_spaces) + "\n",
+        "separator_round_a_comma_field": ",".join(separator_only) + "\n",
+        "spaced_not_a_number": "\n".join([good[0], ",".join(spaced_bad),
+                                          good[1]]) + "\n",
+        "holds_99": "\n".join([row(missing_spelled), row(ratings(gaps=99)),
+                               good[1]]) + "\n",
+        "mismatches": "\n".join([mismatch, good[0], row(ratings(3), 98.7),
+                                 row(ratings(), -0.5),
+                                 row(ratings(), "1e300")]) + "\n",
+        "nan_declared": "\n".join([mismatch, row(ratings(), "nan")]) + "\n",
+        "inf_declared": "\n".join([good[0], row(ratings(), "-inf")]) + "\n",
+        "huge_declared": "\n".join([row(ratings(), "1.7e308"),
+                                    row(ratings(), "-1e300")]) + "\n",
+        "nan_rating": "\n".join([good[0], with_rating("nan")]) + "\n",
+        "inf_rating": "\n".join([good[0], with_rating("inf")]) + "\n",
+        "out_of_range": "\n".join([good[0], with_rating("-10.01")]) + "\n",
+        "range_beats_bad_count_on_one_line":
+            with_rating("11", declared="nan") + "\n",
+        "mismatch_then_short": "\n".join([mismatch, good[0], short]) + "\n",
+        "mismatch_then_not_a_number":
+            "\n".join([mismatch, mismatch, not_a_number, good[0]]) + "\n",
+        "mismatch_then_empty_field":
+            "\n".join([mismatch, empty_field]) + "\n",
+        "range_beats_later_short":
+            "\n".join([mismatch, with_rating("12"), short]) + "\n",
+        "short_beats_later_range":
+            "\n".join([mismatch, short, with_rating("12")]) + "\n",
+        "bad_count_beats_later_range":
+            "\n".join([row(ratings(), "nan"), with_rating("12")]) + "\n",
+        "range_beats_later_bad_count":
+            "\n".join([good[1], with_rating("-11"),
+                       row(ratings(), "inf")]) + "\n",
+        "not_a_number_beats_later_range":
+            "\n".join([not_a_number, with_rating("12")]) + "\n",
+    }
+
+
+class TestLoadJesterAgainstReference:
+    """load_jester against the line-by-line parser on every kind of file."""
+
+    @staticmethod
+    def assert_same(path, **kwargs):
+        got, got_warnings = _outcome(load_jester, path, **kwargs)
+        want, want_warnings = _outcome(reference_load_jester, path, **kwargs)
+        assert got_warnings == want_warnings
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and got.flags.writeable
+        else:
+            assert got == want
+        return got
+
+    @pytest.mark.parametrize("name", sorted(_jester_cases()))
+    def test_same_outcome(self, tmp_path, name):
+        p = tmp_path / "jokes.csv"
+        p.write_bytes(_jester_cases()[name].encode("utf-8"))
+        self.assert_same(p)
+
+    @pytest.mark.parametrize("name", ["valid", "mismatches", "empty",
+                                      "mismatch_then_short"])
+    @pytest.mark.parametrize("expected", [0, 4, 5])
+    def test_expected_users(self, tmp_path, name, expected):
+        p = tmp_path / "jokes.csv"
+        p.write_bytes(_jester_cases()[name].encode("utf-8"))
+        self.assert_same(p, expected_users=expected)
+
+    def test_read_error_after_an_earlier_bad_row(self, tmp_path):
+        # The undecodable byte sits chunks past line 2, so a line-by-line
+        # parser reports line 2's range error before it reads that far.
+        cases = _jester_cases()
+        body = cases["out_of_range"] + cases["valid"] * 20
+        p = tmp_path / "jokes.csv"
+        p.write_bytes(body.encode("utf-8") + b"\xff\n")
+        kind, message = self.assert_same(p)
+        assert kind is ParseError
+        assert message.startswith("line 2: rating -10.01")
 
 
 class TestLoadMovielens:
