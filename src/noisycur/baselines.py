@@ -4,8 +4,12 @@ The nuclear-norm solver minimizes ||Z||_* subject to one Frobenius ball
 around the observed entries, by ADMM with a singular-value thresholding
 step on Z and a projection onto the ball on the splitting variable.  The
 thresholding step takes no SVD: it is one eigh of the Gram of the
-matrix's smaller side (see svt).  Every baseline reads entry observations
-only, aggregated into a PartialMatrix.
+matrix's smaller side (see svt).  The ADMM step is a Douglas-Rachford
+fixed-point map, and the iteration is Anderson-accelerated over it
+(Walker & Ni 2011; Fu, Zhang & Boyd 2020), still with one svt call per
+iteration.  Each solve is certified by a duality gap built from its
+scaled dual.  Every baseline reads entry observations only, aggregated
+into a PartialMatrix.
 
 The ADMM penalty rho starts at 1 and is balanced against the residuals
 as the solve runs (Boyd et al. 2011, section 3.4.1: mu = 10, tau = 2),
@@ -130,8 +134,99 @@ class AdmmResult:
     iterations: int
     primal_residual: float
     dual_residual: float
+    gap: float  # relative duality gap of matrix (see _duality_gap)
     dual: np.ndarray  # scaled dual U at the last iterate, for warm starts
     rho: float  # penalty after the last balancing step
+
+
+def _ball_split(x, cells, centre, delta):
+    """(W, U) = (Pi(x), x - Pi(x)), Pi the projection onto the ball.
+
+    cells holds the flat (row-major) indices of omega.  Cells outside
+    omega are unconstrained, so U is exactly zero there.
+    """
+    w = x.copy()
+    flat = w.reshape(-1)
+    diff = flat[cells] - centre
+    norm = math.sqrt(float(diff @ diff))
+    if norm > delta:
+        flat[cells] = centre + delta / norm * diff
+    return w, x - w
+
+
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values of a, ascending, from the eigenvalues of the Gram of
+    its smaller side (resolved to about sqrt(eps_mach) * sigma_1)."""
+    t = a.T if a.shape[1] > a.shape[0] else a
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(t.T @ t), 0.0))
+
+
+def _duality_gap(w, u, rho, obs: PartialMatrix, delta: float) -> float:
+    """Relative suboptimality bound of a W in the ball, from the scaled
+    dual U.
+
+    For any Lambda supported on omega with ||Lambda||_2 <= 1 and any Z in
+    the ball, ||Z||_* >= <Lambda, Z> >= <Lambda, y> - delta ||Lambda||_F,
+    y the cell means.  U vanishes off omega and -rho U tends to a
+    subgradient of ||.||_* at the solution, so Lambda = -rho U /
+    max(1, ||rho U||_2) gives the lower bound, and the gap is
+    (||W||_* - <Lambda, y> + delta ||Lambda||_F) / ||W||_*: nonnegative up
+    to roundoff, since W lies in the ball.  A zero W lies in the ball, so
+    it is optimal and its gap is 0.  Costs two eigvalsh of a Gram, which
+    resolve W's singular values only to about sqrt(eps_mach) times the
+    largest: on the 80 x 60 sweep solves the gap stayed within 1e-8 of
+    the one from SVDs.
+    """
+    nuclear = float(_singular_values(w).sum())
+    if nuclear == 0.0:
+        return 0.0
+    lam = -rho * u
+    lam_obs = lam[obs.rows, obs.cols] / max(1.0, _singular_values(lam)[-1])
+    lower = float(lam_obs @ obs.values) - delta * math.sqrt(lam_obs @ lam_obs)
+    return (nuclear - lower) / nuclear
+
+
+class _Anderson:
+    """Type-II Anderson extrapolation, memory m, for a fixed-point map T.
+
+    Holds the residuals g_i = T(x_i) - x_i and images T(x_i) of the last
+    m + 1 pairs in ring buffers, and their Gram H_ij = <g_i, g_j>, one row
+    updated per pair.  The extrapolate is sum_i alpha_i T(x_i), with alpha
+    minimising ||sum_i alpha_i g_i|| subject to sum_i alpha_i = 1, that is
+    the newest pair corrected along m differences (Walker & Ni 2011; Fu,
+    Zhang & Boyd 2020).  alpha is proportional to (H + eta I)^-1 1, with
+    the Tikhonov term eta = 1e-10 tr H.
+    """
+
+    def __init__(self, size: int, memory: int = 5):
+        self.residuals = np.empty((memory + 1, size))
+        self.images = np.empty((memory + 1, size))
+        self.gram = np.empty((memory + 1, memory + 1))
+        self.count = 0  # pairs held, in slots 0 .. count - 1
+        self.slot = 0  # the slot the next pair overwrites
+
+    def clear(self):
+        self.count = self.slot = 0
+
+    def push(self, residual: np.ndarray, image: np.ndarray):
+        s, pairs = self.slot, len(self.gram)
+        self.residuals[s] = residual.reshape(-1)
+        self.images[s] = image.reshape(-1)
+        self.count = min(self.count + 1, pairs)
+        self.slot = (s + 1) % pairs
+        k = self.count
+        row = self.residuals[:k] @ self.residuals[s]
+        self.gram[s, :k] = row
+        self.gram[:k, s] = row
+
+    def extrapolate(self) -> np.ndarray:
+        """The extrapolated state, flat.  The newest residual must be
+        nonzero, so that H + eta I is positive definite."""
+        k = self.count
+        h = self.gram[:k, :k]
+        alpha = np.linalg.solve(h + 1e-10 * np.trace(h) * np.eye(k),
+                                np.ones(k))
+        return (alpha / alpha.sum()) @ self.images[:k]
 
 
 def nna(obs: PartialMatrix, delta: float, tol: float = 1e-6,
@@ -141,10 +236,21 @@ def nna(obs: PartialMatrix, delta: float, tol: float = 1e-6,
     min ||Z||_* s.t. ||P_omega(Z - observed)||_F <= delta, omega every
     observed cell, the ball centred on the cell means.
 
-    Scaled two-block ADMM: a singular value thresholding step on Z, a ball
-    projection step on the splitting variable W, and a dual update.  Boyd-
-    style combined absolute/relative stopping with tol for both, after at
-    most max_iters iterations.
+    Scaled two-block ADMM, Anderson-accelerated: a singular value
+    thresholding step on Z, a ball projection step on the splitting
+    variable W, and a dual update.  Boyd-style combined absolute/relative
+    stopping with tol for both, after at most max_iters iterations.
+
+    The step is the Douglas-Rachford map T of the state x = W + U, with
+    W = Pi(x) and U = x - Pi(x), Pi the ball projection: Z = svt(2 Pi(x) -
+    x, 1 / rho) and T(x) = Z + x - Pi(x).  Each iteration takes one step
+    and applies the stopping test to it; then x is replaced by the type-II
+    Anderson extrapolate (_Anderson, memory 5) of the pairs (x, T(x)) seen
+    since the history last restarted.  It restarts whenever rho changes,
+    since T changes with it, and whenever ||T(x) - x|| grows, so a bad
+    extrapolate is followed by a plain step.  So each iteration makes one
+    svt call, U stays exactly zero off omega, and the returned W, the
+    projection of a step's T(x), lies in the ball.
 
     The penalty rho starts at 1.  After each iteration's stopping test it
     is balanced against the residuals (Boyd et al. 2011, section 3.4.1,
@@ -157,7 +263,10 @@ def nna(obs: PartialMatrix, delta: float, tol: float = 1e-6,
     previous radius on a regularisation path (Mazumder, Hastie &
     Tibshirani 2010): W, U and rho are taken from it, and Z is recomputed
     from W - U in the first step.  The ball need not match the earlier
-    solve's, and the earlier result is left unchanged.
+    solve's, so W need not be Pi(W + U), and that first step does not
+    enter the history.  The earlier result is left unchanged.
+
+    The result carries the relative duality gap of W (_duality_gap).
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
@@ -167,8 +276,8 @@ def nna(obs: PartialMatrix, delta: float, tol: float = 1e-6,
         raise ValueError("tol must be positive and finite")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    rows, cols, centre = obs.rows, obs.cols, obs.values
     m, n = obs.shape
+    cells, centre = obs.rows * n + obs.cols, obs.values
     if start is None:
         w = np.zeros((m, n))
         u = np.zeros((m, n))
@@ -176,6 +285,8 @@ def nna(obs: PartialMatrix, delta: float, tol: float = 1e-6,
     else:
         w, u, rho = start.matrix, start.dual, start.rho
     sqrt_mn = math.sqrt(m * n)
+    history = _Anderson(m * n)
+    last_step = math.inf
 
     primal = dual = math.inf
     converged = False
@@ -183,17 +294,10 @@ def nna(obs: PartialMatrix, delta: float, tol: float = 1e-6,
     for it in range(1, max_iters + 1):
         z = svt(w - u, 1.0 / rho)
         w_prev = w
-        # project the fresh z + u onto the ball in place; cells outside
-        # omega are unconstrained
-        w = z + u
-        diff = w[rows, cols] - centre
-        norm = math.sqrt(float(np.sum(diff * diff)))
-        if norm > delta:
-            w[rows, cols] = centre + delta / norm * diff
-        u = u + z - w
+        x = z + u  # T of the state w_prev + u
+        w, u = _ball_split(x, cells, centre, delta)
 
-        gap = z - w
-        primal = float(np.linalg.norm(gap))
+        primal = float(np.linalg.norm(z - w))
         dual = rho * float(np.linalg.norm(w - w_prev))
 
         eps_pri = sqrt_mn * tol + tol * max(np.linalg.norm(z), np.linalg.norm(w))
@@ -201,12 +305,25 @@ def nna(obs: PartialMatrix, delta: float, tol: float = 1e-6,
         if primal <= eps_pri and dual <= eps_dual:
             converged = True
             break
-        if primal > 10.0 * dual:
-            rho *= 2.0
-            u = u / 2.0
-        elif dual > 10.0 * primal:
-            rho /= 2.0
-            u = u * 2.0
+        if primal > 10.0 * dual or dual > 10.0 * primal:
+            scale = 2.0 if primal > dual else 0.5
+            rho *= scale
+            u = u / scale
+            history.clear()  # T changes with rho
+            last_step = math.inf
+            continue
+        residual = z - w_prev  # T(x) - x
+        step = float(np.linalg.norm(residual))
+        if step > last_step:
+            history.clear()
+        last_step = step
+        if it > 1 or start is None:
+            history.push(residual, x)
+        # A zero residual would have passed the stopping test.  The last
+        # iteration keeps its step's W, which the residuals describe.
+        if history.count > 1 and it < max_iters:
+            x = history.extrapolate().reshape(m, n)
+            w, u = _ball_split(x, cells, centre, delta)
 
     # Report the feasible iterate: W satisfies the ball constraints exactly.
     return AdmmResult(
@@ -215,6 +332,7 @@ def nna(obs: PartialMatrix, delta: float, tol: float = 1e-6,
         iterations=it,
         primal_residual=primal,
         dual_residual=dual,
+        gap=_duality_gap(w, u, rho, obs, delta),
         dual=u,
         rho=rho,
     )

@@ -24,7 +24,6 @@ import math
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -490,7 +489,7 @@ def error_metrics(a, a_bar) -> dict:
     return {"rel_error": rel, "abs_error_sq": diff_sq, "zero_norm": zero_norm}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepResult:
     """One sweep cell.  hyperparams is a JSON object string (sorted keys)."""
 
@@ -613,30 +612,33 @@ def _cv_entry_delta(pm: PartialMatrix, sigma_e: float, factors,
     Falls back to factor 1 (the expected noise norm) when there are too
     few cells to split.
 
-    Returns (factor, fit, cv_converged): the picked factor, its train fit
-    (None when no CV ran) to warm-start the final solve from, and how many
-    CV solves converged.
+    Returns (factor, fit, cv_converged, cv_gap_max): the picked factor,
+    its train fit (None when no CV ran) to warm-start the final solve
+    from, how many CV solves converged, and the largest duality gap of a
+    CV solve (None when no CV ran).
     """
     factors = tuple(factors)
     if len(factors) == 1:
-        return factors[0], None, 0
+        return factors[0], None, 0, None
     train, held = _holdout_split(pm, rng)
     if train is None:
-        return 1.0, None, 0
+        return 1.0, None, 0, None
     scores = np.full(len(factors), np.inf)
     fit = best_fit = None
     cv_converged = 0
+    cv_gap_max = -math.inf
     for k in sorted(range(len(factors)), key=lambda k: -factors[k]):
         delta = factors[k] * math.sqrt(train.n_cells) * sigma_e
         fit = nna(train, delta, hyper["cv_tol"], hyper["cv_max_iters"],
                   start=fit)
         cv_converged += fit.converged
+        cv_gap_max = max(cv_gap_max, fit.gap)
         scores[k] = _holdout_sse(fit.matrix, pm, held)
         # Keep only the fit the final argmin can pick, not every fit: a
         # fit holds two matrices the size of the data.
         if int(np.argmin(scores)) == k:
             best_fit = fit
-    return factors[int(np.argmin(scores))], best_fit, cv_converged
+    return factors[int(np.argmin(scores))], best_fit, cv_converged, cv_gap_max
 
 
 def _fit_entry_delta(pm: PartialMatrix, sigma_e: float,
@@ -645,16 +647,19 @@ def _fit_entry_delta(pm: PartialMatrix, sigma_e: float,
     warm-started from the picked factor's train fit.
 
     Returns the final fit and its hyperparameter record, which says whether
-    the final solve converged and how many CV solves did.
+    the final solve converged and how many CV solves did, with the final
+    solve's duality gap and the largest CV one.
     """
-    factor, cv_fit, cv_converged = _cv_entry_delta(
+    factor, cv_fit, cv_converged, cv_gap_max = _cv_entry_delta(
         pm, sigma_e, hyper["delta_factors"], rng, hyper)
     delta = factor * math.sqrt(pm.n_cells) * sigma_e
     fit = nna(pm, delta, hyper["tol"], hyper["max_iters"], start=cv_fit)
     return fit, {"delta": delta, "delta_factor": factor,
                  "admm_iterations": fit.iterations,
                  "admm_converged": fit.converged,
-                 "cv_converged": cv_converged}
+                 "admm_gap": fit.gap,
+                 "cv_converged": cv_converged,
+                 "cv_gap_max": cv_gap_max}
 
 
 def _run_ncur(oracle: Oracle, d: int, rng: np.random.Generator,
@@ -796,6 +801,10 @@ def run_sweep(config: ExperimentConfig):
     payloads = [(a, model, alg, fills[0], seed, hyper[alg])
                 for alg, _, _, seed, fills in cells]
     if config.workers > 1:
+        # Imported here: multiprocessing costs every one-worker caller
+        # about 1 MB of resident memory.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             outcomes = list(pool.map(_pool_cell, payloads))
     else:
@@ -851,13 +860,18 @@ def emit_csv(rows, path, include_wall_time: bool = True) -> None:
 
 
 def parse_csv(path):
-    """Read back an emit_csv file as SweepResults (wall_ms NaN if absent)."""
+    """Read back an emit_csv file as SweepResults (wall_ms NaN if absent).
+
+    The dataset and algorithm names are interned, so the rows share one
+    string of each.
+    """
     rows = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         for rec in csv.DictReader(fh):
             wall = rec.get("wall_ms")
             rows.append(SweepResult(
-                dataset=rec["dataset"], algorithm=rec["algorithm"],
+                dataset=sys.intern(rec["dataset"]),
+                algorithm=sys.intern(rec["algorithm"]),
                 d=int(rec["d"]), s=int(rec["s"]), trial=int(rec["trial"]),
                 seed=int(rec["seed"]), rel_error=float(rec["rel_error"]),
                 abs_error_sq=float(rec["abs_error_sq"]),

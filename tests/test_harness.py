@@ -482,9 +482,11 @@ class TestRunSingleCell:
         picks = [harness._cv_entry_delta(pm, sigma_e, factors,
                                          np.random.default_rng(4), hyper)
                  for factors in (grid, grid[::-1])]
-        (up, up_fit, up_conv), (down, down_fit, down_conv) = picks
+        (up, up_fit, up_conv, up_gap), (down, down_fit, down_conv,
+                                         down_gap) = picks
         assert up == down
         assert up_conv == down_conv
+        assert up_gap == down_gap
         np.testing.assert_array_equal(up_fit.matrix, down_fit.matrix)
 
     def test_unknown_algorithm(self):
