@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_matrix, leverage_from_svd, rank_from_singular_values
 from .observe import ObservationSet
 
 __all__ = [
@@ -451,8 +451,9 @@ def chen_observe(oracle, phase1_fraction: float, rng: np.random.Generator,
     Both passes read entries through ``oracle`` (a harness.Oracle), which
     charges each read to its budget before drawing it.  Phase 1 reads as
     many uniform entries as phase1_fraction of the budget buys.  The
-    zero-filled phase-1 matrix is truncated to ``rank`` and its singular
-    factors give estimated row and column leverage scores; phase 2 spends
+    zero-filled phase-1 matrix is truncated to ``rank``, or to its
+    numerical rank where that is lower, and its singular factors give
+    estimated row and column leverage scores; phase 2 spends
     what is left on entries drawn from the product distribution q_ij
     proportional to row_lev_i * col_lev_j.  A budget that buys no phase-1
     entry is refused with InfeasiblePlanError, as any empty read is.
@@ -473,11 +474,10 @@ def chen_observe(oracle, phase1_fraction: float, rng: np.random.Generator,
 
     scout = PartialMatrix.from_observations(phase1).dense_fill(0.0)
     u, sv, vt = np.linalg.svd(scout, full_matrices=False)
-    k = min(rank, int(np.count_nonzero(sv > 0)))
-    if k == 0:
-        raise ValueError("phase 1 observed only zeros; cannot estimate leverage")
-    row_lev = np.einsum("ij,ij->i", u[:, :k], u[:, :k])
-    col_lev = np.einsum("ij,ij->j", vt[:k], vt[:k])
+    # a zero scout has rank 0, which leverage_from_svd refuses
+    k = min(rank, rank_from_singular_values(sv, scout.shape))
+    row_lev = leverage_from_svd(sv, u.T, scout.shape[::-1], k)[0]
+    col_lev = leverage_from_svd(sv, vt, scout.shape, k)[0]
     weights = np.outer(row_lev, col_lev)
 
     n2 = oracle.affordable(entry_price)

@@ -37,7 +37,7 @@ from .theory import (
     check_ridge_resolvent_bound,
     check_sketched_ridge_bound,
     check_span_capture_bound,
-    failure_rate,
+    rate_verdict,
 )
 
 __all__ = ["main", "cli"]
@@ -142,17 +142,6 @@ def _echo_battery(label: str, reports) -> list:
     return [rep for rep in reports if not rep.holds]
 
 
-def _echo_rate(name: str, reports, n_trials: int) -> bool:
-    """Compare an observed failure rate against stated + 3 binomial SE."""
-    stated = float(reports[0].params.get("fail_prob", 0.0))
-    observed = failure_rate(reports)
-    allowed = stated + 3 * math.sqrt(stated * (1 - stated) / n_trials)
-    ok = observed <= allowed + 1e-12
-    click.echo(f"  {name}: failure rate {observed:.4f} observed, "
-               f"{allowed:.4f} allowed ({'ok' if ok else 'EXCEEDED'})")
-    return ok
-
-
 @cli.command()
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--instances", type=int, default=100, show_default=True,
@@ -185,16 +174,19 @@ def check(seed, instances, trials, skip_probabilistic):
 
     if not skip_probabilistic:
         click.echo("probabilistic bounds:")
+        batteries = {
+            "subspace-embedding": check_embedding_rate(trials, rng),
+            "span-capture": check_span_capture_bound(3, trials, rng),
+            "perturbed-sigma": check_perturbed_sigma(trials, rng),
+        }
         exceeded = []
-        reports = check_embedding_rate(trials, rng)
-        if not _echo_rate("subspace-embedding", reports, trials):
-            exceeded.append("subspace-embedding")
-        reports = check_span_capture_bound(3, trials, rng)
-        if not _echo_rate("span-capture", reports, trials):
-            exceeded.append("span-capture")
-        reports = check_perturbed_sigma(trials, rng)
-        if not _echo_rate("perturbed-sigma", reports, trials):
-            exceeded.append("perturbed-sigma")
+        for name, reports in batteries.items():
+            observed, allowed, ok = rate_verdict(reports)
+            click.echo(f"  {name}: failure rate {observed:.4f} observed, "
+                       f"{allowed:.4f} allowed "
+                       f"({'ok' if ok else 'EXCEEDED'})")
+            if not ok:
+                exceeded.append(name)
         if exceeded:
             raise BoundViolation(
                 "failure rate above stated + 3 SE for: "
@@ -271,12 +263,13 @@ def info(data, config_path, rank, sigma_c):
         name = str(data)
 
     m, n = a.shape
-    if rank is not None and not 1 <= rank <= min(m, n):
-        raise ConfigError(f"rank must be in [1, {min(m, n)}], got {rank}")
     _, sv, vt = np.linalg.svd(a, full_matrices=False)
     num_rank = rank_from_singular_values(sv, a.shape)
     rank_used = rank if rank is not None else num_rank
-    _, coherence, beta = leverage_from_svd(sv, vt, a.shape, rank_used)
+    try:
+        _, coherence, beta = leverage_from_svd(sv, vt, a.shape, rank_used)
+    except ValueError as exc:  # a zero matrix, or a rank out of range
+        raise ConfigError(f"{name}: {exc}") from None
     click.echo(f"dataset: {name}")
     click.echo(f"shape: {m} x {n}")
     click.echo(f"numerical rank: {num_rank}"

@@ -71,7 +71,7 @@ __all__ = [
     "emit_csv",
     "parse_csv",
     "write_resolved_config",
-    "vshape_interior",
+    "summarize",
     "ALGORITHM_NAMES",
     "D_INDEPENDENT",
     "CSV_COLUMNS",
@@ -600,60 +600,46 @@ def _holdout_sse(estimate: np.ndarray, pm: PartialMatrix, held) -> float:
     return float(np.sum(diff * diff))
 
 
-def _cv_entry_delta(pm: PartialMatrix, sigma_e: float, factors,
-                    rng: np.random.Generator, hyper: dict):
-    """Slack factor for a single-ball nuclear norm fit.
-
-    delta = factor * sqrt(#cells) * sigma_e; the factor is scored on an
-    80/20 holdout of the observed cells, with the radius rescaled to the
-    train cell count.  The factors are solved from the largest radius to
-    the smallest, each solve warm-started from the one before; scores
-    keep the grid's order, so ties go to the first factor in the grid.
-    Falls back to factor 1 (the expected noise norm) when there are too
-    few cells to split.
-
-    Returns (factor, fit, cv_converged, cv_gap_max): the picked factor,
-    its train fit (None when no CV ran) to warm-start the final solve
-    from, how many CV solves converged, and the largest duality gap of a
-    CV solve (None when no CV ran).
-    """
-    factors = tuple(factors)
-    if len(factors) == 1:
-        return factors[0], None, 0, None
-    train, held = _holdout_split(pm, rng)
-    if train is None:
-        return 1.0, None, 0, None
-    scores = np.full(len(factors), np.inf)
-    fit = best_fit = None
-    cv_converged = 0
-    cv_gap_max = -math.inf
-    for k in sorted(range(len(factors)), key=lambda k: -factors[k]):
-        delta = factors[k] * math.sqrt(train.n_cells) * sigma_e
-        fit = nna(train, delta, hyper["cv_tol"], hyper["cv_max_iters"],
-                  start=fit)
-        cv_converged += fit.converged
-        cv_gap_max = max(cv_gap_max, fit.gap)
-        scores[k] = _holdout_sse(fit.matrix, pm, held)
-        # Keep only the fit the final argmin can pick, not every fit: a
-        # fit holds two matrices the size of the data.
-        if int(np.argmin(scores)) == k:
-            best_fit = fit
-    return factors[int(np.argmin(scores))], best_fit, cv_converged, cv_gap_max
-
-
 def _fit_entry_delta(pm: PartialMatrix, sigma_e: float,
                      rng: np.random.Generator, hyper: dict):
-    """Cross-validate the slack factor, then solve on every observed cell,
-    warm-started from the picked factor's train fit.
+    """Single-ball nuclear norm fit at a cross-validated slack radius.
 
-    Returns the final fit and its hyperparameter record, which says whether
-    the final solve converged and how many CV solves did, with the final
-    solve's duality gap and the largest CV one.
+    The radius is factor * sqrt(#cells fit) * sigma_e.  Each factor of a
+    grid of several is scored on an 80/20 holdout of the observed cells,
+    from the largest radius to the smallest, each solve warm-started from
+    the one before; ties go to the first factor in the grid.  Too few
+    cells to split give factor 1, the expected noise norm.  The final
+    solve, on every observed cell, starts from the picked factor's fit.
+
+    Returns the fit and its record: the radius and factor, whether the
+    final solve converged and how many CV solves did, the final solve's
+    duality gap and the largest CV one (null when no CV ran).
     """
-    factor, cv_fit, cv_converged, cv_gap_max = _cv_entry_delta(
-        pm, sigma_e, hyper["delta_factors"], rng, hyper)
-    delta = factor * math.sqrt(pm.n_cells) * sigma_e
-    fit = nna(pm, delta, hyper["tol"], hyper["max_iters"], start=cv_fit)
+    def radius(factor, cells):
+        return factor * math.sqrt(cells.n_cells) * sigma_e
+
+    factors = tuple(hyper["delta_factors"])
+    train = held = None
+    if len(factors) > 1:
+        train, held = _holdout_split(pm, rng)
+    factor = factors[0] if len(factors) == 1 else 1.0
+    best_fit, cv_converged, cv_gap_max = None, 0, None
+    if train is not None:
+        scores = np.full(len(factors), np.inf)
+        fit, cv_gap_max = None, -math.inf
+        for k in sorted(range(len(factors)), key=lambda k: -factors[k]):
+            fit = nna(train, radius(factors[k], train), hyper["cv_tol"],
+                      hyper["cv_max_iters"], start=fit)
+            cv_converged += fit.converged
+            cv_gap_max = max(cv_gap_max, fit.gap)
+            scores[k] = _holdout_sse(fit.matrix, pm, held)
+            # Keep only the fit the final argmin can pick, not every fit: a
+            # fit holds two matrices the size of the data.
+            if int(np.argmin(scores)) == k:
+                best_fit = fit
+        factor = factors[int(np.argmin(scores))]
+    delta = radius(factor, pm)
+    fit = nna(pm, delta, hyper["tol"], hyper["max_iters"], start=best_fit)
     return fit, {"delta": delta, "delta_factor": factor,
                  "admm_iterations": fit.iterations,
                  "admm_converged": fit.converged,
@@ -883,23 +869,31 @@ def parse_csv(path):
     return rows
 
 
-def vshape_interior(rows, algorithm: str = "ncur"):
-    """Locate the minimum of an algorithm's mean error-vs-d curve.
+def summarize(rows) -> dict:
+    """Each algorithm's figures from sweep rows, {algorithm: figures}:
 
-    Averages rel_error over feasible trials at each d and returns
-    (is_interior, best_d, means) where is_interior says the minimizing d
-    is neither endpoint of the feasible grid.  Ties pick the smaller d.
-    Needs at least three feasible d values to be meaningful.
+    - means: {d: mean rel_error over the feasible trials at d};
+    - best_d: the d of the lowest mean, ties going to the smaller d (None
+      when no cell is feasible);
+    - interior: best_d is neither end of the feasible d values, which
+      needs at least three of them;
+    - median_wall_ms: over executed cells, feasible or not.  The copies of
+      a d-independent cell share its seed, so they count once.
     """
-    by_d = {}
+    errors, walls = {}, {}
     for row in rows:
-        if row.algorithm == algorithm and row.feasible:
-            by_d.setdefault(row.d, []).append(row.rel_error)
-    if len(by_d) < 3:
-        raise ValueError(
-            f"need at least three feasible d values for '{algorithm}', "
-            f"got {sorted(by_d)}")
-    ds = sorted(by_d)
-    means = {d: float(np.mean(by_d[d])) for d in ds}
-    best = min(ds, key=lambda d: (means[d], d))
-    return best not in (ds[0], ds[-1]), best, means
+        if row.feasible:
+            errors.setdefault(row.algorithm, {}).setdefault(
+                row.d, []).append(row.rel_error)
+        walls.setdefault(row.algorithm, {}).setdefault(row.seed, row.wall_ms)
+    out = {}
+    for algorithm, by_seed in walls.items():
+        by_d = errors.get(algorithm, {})
+        ds = sorted(by_d)
+        means = {d: float(np.mean(by_d[d])) for d in ds}
+        best = min(ds, key=lambda d: (means[d], d)) if ds else None
+        out[algorithm] = {
+            "means": means, "best_d": best,
+            "interior": len(ds) >= 3 and best not in (ds[0], ds[-1]),
+            "median_wall_ms": float(np.median(list(by_seed.values())))}
+    return out

@@ -40,6 +40,7 @@ __all__ = [
     "BoundReport",
     "success_rate",
     "failure_rate",
+    "rate_verdict",
     "ridge_contraction_factor",
     "ridge_resolvent_constant",
     "embedding_sketch_size",
@@ -116,6 +117,17 @@ def success_rate(reports) -> float:
 
 def failure_rate(reports) -> float:
     return 1.0 - success_rate(reports)
+
+
+def rate_verdict(reports) -> tuple:
+    """(observed, allowed, ok) for n reports: their failure rate, the
+    stated rate p (param fail_prob) plus three binomial standard errors
+    3 sqrt(p (1 - p) / n), and observed <= allowed up to 1e-12."""
+    reports = list(reports)
+    observed = failure_rate(reports)
+    stated = float(reports[0].params.get("fail_prob", 0.0))
+    allowed = stated + 3 * math.sqrt(stated * (1 - stated) / len(reports))
+    return observed, allowed, observed <= allowed + 1e-12
 
 
 def ridge_contraction_factor(ridge_lambda: float, sigma_sq: float,

@@ -10,7 +10,6 @@ check_ridge_resolvent_bound's docstring; the unsquared form first stated
 is false, and tests/test_theory.py pins its counterexample.
 """
 
-import statistics
 import time
 
 import numpy as np
@@ -29,9 +28,10 @@ from noisycur.harness import (
     build_cost_model,
     config_from_dict,
     emit_csv,
+    load_dataset,
     relative_error,
     run_sweep,
-    vshape_interior,
+    summarize,
 )
 from noisycur.theory import (
     check_embedding_rate,
@@ -40,6 +40,7 @@ from noisycur.theory import (
     check_ridge_resolvent_bound,
     check_sketched_ridge_bound,
     check_span_capture_bound,
+    rate_verdict,
 )
 
 pytestmark = pytest.mark.slow
@@ -225,12 +226,11 @@ def test_criterion_4_span_capture_rate():
     t0 = time.perf_counter()
     reports = check_span_capture_bound(3, 500, np.random.default_rng(0))
     fails = sum(not r.holds for r in reports)
-    p = reports[0].params["fail_prob"]
-    allowed = p + 3.0 * np.sqrt(p * (1.0 - p) / 500)
+    _, allowed, ok = rate_verdict(reports)
     elapsed = time.perf_counter() - t0
     _line("criterion 4b", f"span capture {fails}/500 fail "
           f"(allowed rate {allowed:.2e}), {elapsed:.1f}s")
-    assert fails / 500 <= allowed
+    assert ok
     assert elapsed < 120.0
 
 
@@ -238,12 +238,11 @@ def test_criterion_4_perturbed_sigma_rate():
     t0 = time.perf_counter()
     reports = check_perturbed_sigma(500, np.random.default_rng(0))
     fails = sum(not r.holds for r in reports)
-    p = reports[0].params["fail_prob"]
-    allowed = p + 3.0 * np.sqrt(p * (1.0 - p) / 500)
+    _, allowed, ok = rate_verdict(reports)
     elapsed = time.perf_counter() - t0
     _line("criterion 4c", f"perturbed sigma_min {fails}/500 fail "
           f"(allowed rate {allowed:.2e}), {elapsed:.1f}s")
-    assert fails / 500 <= allowed
+    assert ok
     assert elapsed < 120.0
 
 
@@ -272,23 +271,23 @@ def test_criterion_6_low_noise_comparison(fig2_sweep):
     coverage = model.budget / model.entry_price / n_cells
     assert coverage < 0.20
 
-    interior, best_d, means = vshape_interior(rows)
-    nna_rows = [r for r in rows if r.algorithm == "nna"]
-    nna_mean = statistics.mean(r.rel_error for r in nna_rows
-                               if r.d == cfg.d_grid[0])
-    _line("criterion 6", f"best ncur mean {means[best_d]:.4f} at d={best_d} "
-          f"vs nna {nna_mean:.4f}, interior={interior}, {elapsed:.0f}s")
-    assert means[best_d] < nna_mean
-    assert interior
+    summary = summarize(rows)
+    ncur, nna = summary["ncur"], summary["nna"]
+    best = ncur["means"][ncur["best_d"]]
+    nna_mean = nna["means"][nna["best_d"]]  # the same at every d
+    _line("criterion 6", f"best ncur mean {best:.4f} at d={ncur['best_d']} "
+          f"vs nna {nna_mean:.4f}, interior={ncur['interior']}, "
+          f"{elapsed:.0f}s")
+    assert best < nna_mean
+    assert ncur["interior"]
     assert elapsed < 600.0
 
 
 def test_criterion_7_wall_time_ratio(fig2_sweep):
     _, rows, _ = fig2_sweep
-    ncur_ms = statistics.median(r.wall_ms for r in rows
-                                if r.algorithm == "ncur" and r.feasible)
-    nna_ms = statistics.median(r.wall_ms for r in rows
-                               if r.algorithm == "nna")
+    summary = summarize(rows)
+    ncur_ms = summary["ncur"]["median_wall_ms"]
+    nna_ms = summary["nna"]["median_wall_ms"]
     _line("criterion 7", f"median wall ncur {ncur_ms:.1f}ms "
           f"vs nna {nna_ms:.1f}ms")
     assert ncur_ms < nna_ms
@@ -297,20 +296,14 @@ def test_criterion_7_wall_time_ratio(fig2_sweep):
 def test_criterion_8_budget_ledger(fig2_sweep, jester_sweep):
     checked = 0
     for cfg, rows, _ in (fig2_sweep, jester_sweep):
-        model = build_cost_model(cfg, *_dataset_shape_rank(cfg))
+        _, spec = load_dataset(cfg)
+        model = build_cost_model(cfg, spec.n_rows, spec.rank)
         for r in rows:
             assert r.spent <= model.budget + 1e-9, (r.algorithm, r.d, r.trial)
             assert r.spent + r.leftover == pytest.approx(model.budget)
             assert r.leftover >= -1e-9
             checked += 1
     _line("criterion 8", f"{checked} rows, zero overspends")
-
-
-def _dataset_shape_rank(cfg):
-    ds = cfg.dataset
-    if ds["kind"] == "synthetic":
-        return ds["n_rows"], ds["rank"]
-    return ds["row_limit"], ds["rank"]
 
 
 def test_criterion_9_reproducible_csv(fig2_sweep, tmp_path):

@@ -204,6 +204,32 @@ def ball_residual(fit, pm):
     return np.linalg.norm(fit.matrix[pm.rows, pm.cols] - pm.values)
 
 
+def svd_certificate(fit, pm, delta):
+    """nna's certificate evaluated with SVDs: (||W||_*, gap * ||W||_*),
+    the second being how far ||W||_* can exceed the optimum."""
+    nuclear = nuclear_norm(fit.matrix)
+    lam = -fit.rho * fit.dual
+    lam = lam / max(1.0, np.linalg.svd(lam, compute_uv=False)[0])
+    lam_obs = lam[pm.rows, pm.cols]
+    lower = lam_obs @ pm.values - delta * np.linalg.norm(lam_obs)
+    return nuclear, nuclear - lower
+
+
+def assert_same_optimum(pm, delta, *fits):
+    """Feasible solves of one problem each bound the optimum from above by
+    their nuclear norm and from below by their certificate, so their
+    nuclear norms lie within the larger gap * ||W||_* of each other.  The
+    certificates are taken by SVD, so roundoff is near machine precision:
+    1e-12 relative covers it."""
+    certificates = []
+    for fit in fits:
+        assert ball_residual(fit, pm) <= delta * (1 + 1e-12)
+        certificates.append(svd_certificate(fit, pm, delta))
+    nuclear = [c[0] for c in certificates]
+    excess = max(c[1] for c in certificates)
+    assert max(nuclear) - min(nuclear) <= excess + 1e-12 * max(nuclear)
+
+
 class TestNna:
     def test_fully_observed_zero_delta(self):
         a = synthetic_lowrank(8, 6, 2, rng=np.random.default_rng(0))
@@ -241,12 +267,15 @@ class TestNna:
         warm = nna(pm, delta, **settings, start=wider)
         cold = nna(pm, delta, **settings)
         assert wider.converged and warm.converged and cold.converged
-        # within ten primal stopping thresholds of the cold solve
+        assert_same_optimum(pm, delta, warm, cold)
+        # Within ten primal stopping thresholds of the cold solve.  The
+        # margin was measured, not derived: the stopping test bounds the
+        # last step's residuals, not the distance to the solution.  These
+        # two read 2.5 thresholds.  Over 40 random small instances, a plain
+        # and an accelerated solve of one problem read up to 17.4.
         threshold = tol * (np.sqrt(pm.shape[0] * pm.shape[1])
                            + np.linalg.norm(cold.matrix))
         assert np.linalg.norm(warm.matrix - cold.matrix) <= 10 * threshold
-        for fit in (warm, cold):
-            assert ball_residual(fit, pm) <= delta * (1 + 1e-12)
 
     def test_balancing_moves_rho(self):
         pm = noisy_partial(7)
@@ -300,14 +329,9 @@ class TestNna:
         pm = noisy_partial(8, (20, 15), 2, 0.5)
         delta = 0.1 * np.sqrt(pm.n_cells)
         fit = nna(pm, delta)
-        nuclear = nuclear_norm(fit.matrix)
-        lam = -fit.rho * fit.dual
-        lam = lam / max(1.0, np.linalg.svd(lam, compute_uv=False)[0])
-        assert not lam[~pm.mask()].any()  # U is zero off the observed cells
-        lam_obs = lam[pm.rows, pm.cols]
-        lower = lam_obs @ pm.values - delta * np.linalg.norm(lam_obs)
-        assert fit.gap == pytest.approx((nuclear - lower) / nuclear,
-                                        rel=0, abs=1e-7)
+        assert not fit.dual[~pm.mask()].any()  # U is zero off the cells
+        nuclear, excess = svd_certificate(fit, pm, delta)
+        assert fit.gap == pytest.approx(excess / nuclear, rel=0, abs=1e-7)
 
     def test_huge_delta_gives_zero(self):
         pm = make_pm((4, 4), entries=[(0, 0, 1.0), (1, 2, 2.0)])
@@ -401,23 +425,31 @@ class TestNnaAgainstReference:
                                             (9, (30, 20), 3, 0.4)]:
             pm = noisy_partial(seed, shape, rank, fraction)
             delta = 0.1 * np.sqrt(pm.n_cells)
-            out.append((pm, solver(pm, delta, **settings)))
+            out.append((pm, delta, solver(pm, delta, **settings)))
         pm = noisy_partial(10, (30, 20), 3, 0.4)
         fit = None
         for factor in (0.3, 0.1, 0.03):
-            fit = solver(pm, factor * np.sqrt(pm.n_cells), **settings,
-                         start=fit)
-            out.append((pm, fit))
+            delta = factor * np.sqrt(pm.n_cells)
+            fit = solver(pm, delta, **settings, start=fit)
+            out.append((pm, delta, fit))
         return out
 
     @pytest.fixture(scope="class")
     def pairs(self):
         return list(zip(self.solves(reference_nna), self.solves(nna)))
 
+    def test_same_optimum(self, pairs):
+        for (pm, delta, ref), (_, _, fit) in pairs:
+            assert_same_optimum(pm, delta, ref, fit)
+
     def test_same_solution(self, pairs):
-        for (pm, ref), (_, fit) in pairs:
+        for (pm, _, ref), (_, _, fit) in pairs:
             assert ref.converged and fit.converged
-            # within ten primal stopping thresholds of the reference
+            # Within ten primal stopping thresholds of the reference.  The
+            # margin was measured on these instances (1.1 to 3.6), not
+            # derived: the stopping test bounds the last step's residuals,
+            # not the distance to the solution, and over 40 random small
+            # instances one pair of solves read 17.4.
             threshold = self.TOL * (np.sqrt(pm.shape[0] * pm.shape[1])
                                     + np.linalg.norm(ref.matrix))
             assert np.linalg.norm(fit.matrix - ref.matrix) <= 10 * threshold
@@ -426,13 +458,14 @@ class TestNnaAgainstReference:
         # The gap at a 1e-8 stop is of order 1e-8 to 1e-7 on both sides and
         # its ratio per solve scatters (0.5 to 3.8 over 40 random small
         # instances), so the bound is on the largest gap of the set.
-        gaps = np.array([[ref.gap, fit.gap] for (_, ref), (_, fit) in pairs])
+        gaps = np.array([[ref.gap, fit.gap]
+                         for (*_, ref), (*_, fit) in pairs])
         assert gaps.min() >= -1e-12
         assert gaps[:, 1].max() <= 2 * gaps[:, 0].max()
 
     def test_fewer_iterations(self, pairs):
-        ref = sum(ref.iterations for (_, ref), _ in pairs)
-        fit = sum(fit.iterations for _, (_, fit) in pairs)
+        ref = sum(ref.iterations for (*_, ref), _ in pairs)
+        fit = sum(fit.iterations for _, (*_, fit) in pairs)
         assert fit < ref
 
 

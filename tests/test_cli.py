@@ -289,6 +289,15 @@ class TestInfo:
     def test_missing_data_file(self, tmp_path):
         assert main(["info", "--data", str(tmp_path / "none.npy")]) == 1
 
+    @pytest.mark.parametrize("rank", [[], ["--rank", "2"]],
+                             ids=["numerical-rank", "given-rank"])
+    def test_zero_matrix_exits_one_naming_file(self, tmp_path, capsys, rank):
+        data = tmp_path / "zeros.npy"
+        np.save(data, np.zeros((5, 4)))
+        assert main(["info", "--data", str(data), *rank]) == 1
+        err = capsys.readouterr().err
+        assert f"{data}: leverage scores of the zero matrix" in err
+
 
 class TestTopLevel:
     def test_unknown_command(self, capsys):

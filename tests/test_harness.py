@@ -32,7 +32,7 @@ from noisycur.harness import (
     resolve_hyper,
     run_single_cell,
     run_sweep,
-    vshape_interior,
+    summarize,
     write_resolved_config,
 )
 from noisycur.baselines import PartialMatrix
@@ -479,15 +479,12 @@ class TestRunSingleCell:
         obs = sample_entries(self.a, 96, sigma_e, np.random.default_rng(3))
         pm = PartialMatrix.from_observations(obs)
         grid = tuple(hyper["delta_factors"])
-        picks = [harness._cv_entry_delta(pm, sigma_e, factors,
-                                         np.random.default_rng(4), hyper)
-                 for factors in (grid, grid[::-1])]
-        (up, up_fit, up_conv, up_gap), (down, down_fit, down_conv,
-                                         down_gap) = picks
-        assert up == down
-        assert up_conv == down_conv
-        assert up_gap == down_gap
-        np.testing.assert_array_equal(up_fit.matrix, down_fit.matrix)
+        (up, up_record), (down, down_record) = [
+            harness._fit_entry_delta(pm, sigma_e, np.random.default_rng(4),
+                                     {**hyper, "delta_factors": factors})
+            for factors in (grid, grid[::-1])]
+        assert up_record == down_record
+        np.testing.assert_array_equal(up.matrix, down.matrix)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError):
@@ -799,48 +796,86 @@ class TestCsvRoundTrip:
             emit_csv([], tmp_path / "no" / "such" / "dir" / "x.csv")
 
 
+def summary_row(d, trial, err, wall_ms=1.0, seed=None, algorithm="ncur"):
+    """A feasible sweep row, or an infeasible one when err is NaN; each cell
+    has its own seed unless one is given."""
+    if seed is None:
+        seed = cell_seed(0, algorithm, d, trial)
+    feasible = not math.isnan(err)
+    return SweepResult(
+        dataset="synthetic", algorithm=algorithm, d=d, s=5 * feasible,
+        trial=trial, seed=seed, rel_error=err, abs_error_sq=err**2,
+        spent=1.0 * feasible, leftover=1.0 - feasible, hyperparams="{}",
+        wall_ms=wall_ms, feasible=feasible)
+
+
 class TestVShape:
-    def fake_rows(self, mean_by_d, algorithm="ncur"):
-        rows = []
-        for d, means in mean_by_d.items():
-            for trial, err in enumerate(means):
-                rows.append(SweepResult(
-                    dataset="synthetic", algorithm=algorithm, d=d, s=5,
-                    trial=trial, seed=0, rel_error=err, abs_error_sq=err**2,
-                    spent=1.0, leftover=0.0, hyperparams="{}",
-                    wall_ms=1.0, feasible=True))
-        return rows
+    """summarize's mean error-vs-d curve, its best d and whether that d is
+    interior."""
+
+    def fake_rows(self, errors_by_d):
+        return [summary_row(d, trial, err)
+                for d, errors in errors_by_d.items()
+                for trial, err in enumerate(errors)]
 
     def test_interior_minimum(self):
         rows = self.fake_rows({2: [5.0, 5.2], 4: [2.0, 2.1], 6: [4.0, 3.9]})
-        interior, best, means = vshape_interior(rows)
-        assert interior
-        assert best == 4
-        assert means[4] == pytest.approx(2.05)
+        ncur = summarize(rows)["ncur"]
+        assert ncur["interior"]
+        assert ncur["best_d"] == 4
+        assert ncur["means"][4] == pytest.approx(2.05)
 
     def test_endpoint_minimum(self):
         rows = self.fake_rows({2: [5.0], 4: [4.0], 6: [3.0]})
-        interior, best, _ = vshape_interior(rows)
-        assert not interior
-        assert best == 6
+        ncur = summarize(rows)["ncur"]
+        assert not ncur["interior"]
+        assert ncur["best_d"] == 6
 
     def test_tie_prefers_smaller_d(self):
         rows = self.fake_rows({2: [2.0], 4: [2.0], 6: [5.0]})
-        interior, best, _ = vshape_interior(rows)
-        assert best == 2
-        assert not interior
+        ncur = summarize(rows)["ncur"]
+        assert ncur["best_d"] == 2
+        assert not ncur["interior"]
 
     def test_infeasible_rows_excluded(self):
-        rows = self.fake_rows({2: [5.0], 4: [2.0], 6: [4.0]})
-        bad = SweepResult(dataset="synthetic", algorithm="ncur", d=8, s=0,
-                          trial=0, seed=0, rel_error=math.nan,
-                          abs_error_sq=math.nan, spent=0.0, leftover=1.0,
-                          hyperparams="{}", wall_ms=0.0, feasible=False)
-        interior, best, means = vshape_interior(rows + [bad])
-        assert 8 not in means
-        assert interior and best == 4
+        rows = self.fake_rows({2: [5.0], 4: [2.0], 6: [4.0], 8: [math.nan]})
+        ncur = summarize(rows)["ncur"]
+        assert 8 not in ncur["means"]
+        assert ncur["interior"] and ncur["best_d"] == 4
 
     def test_needs_three_points(self):
-        rows = self.fake_rows({2: [1.0], 4: [2.0]})
-        with pytest.raises(ValueError, match="three feasible"):
-            vshape_interior(rows)
+        ncur = summarize(self.fake_rows({2: [3.0], 4: [2.0]}))["ncur"]
+        assert ncur["best_d"] == 4
+        assert not ncur["interior"]
+
+    def test_no_feasible_cell(self):
+        ncur = summarize([summary_row(2, 0, math.nan)])["ncur"]
+        assert ncur["means"] == {} and ncur["best_d"] is None
+        assert not ncur["interior"]
+
+
+class TestSummaryWallTime:
+    def test_median_counts_infeasible_cells(self):
+        rows = [summary_row(2, 0, 1.0, wall_ms=5.0),
+                summary_row(4, 0, 1.0, wall_ms=5.0),
+                summary_row(6, 0, math.nan, wall_ms=1.0)]
+        assert summarize(rows)["ncur"]["median_wall_ms"] == 5.0
+
+    def test_copies_of_a_cell_count_once(self):
+        # one cell copied over three d values and two cells at one d: three
+        # cells, so the median is 9, where the five rows' median is 1
+        rows = [summary_row(d, 0, 0.5, wall_ms=1.0, seed=11, algorithm="nna")
+                for d in (2, 4, 6)]
+        rows += [summary_row(2, trial, 0.5, wall_ms=9.0, seed=seed,
+                             algorithm="nna")
+                 for trial, seed in ((1, 12), (2, 13))]
+        assert summarize(rows)["nna"]["median_wall_ms"] == 9.0
+
+    def test_one_entry_per_algorithm(self):
+        rows = [summary_row(2, 0, 1.0, wall_ms=2.0),
+                summary_row(2, 0, 3.0, wall_ms=7.0, algorithm="nna")]
+        summary = summarize(rows)
+        assert set(summary) == {"ncur", "nna"}
+        assert summary["ncur"]["median_wall_ms"] == 2.0
+        assert summary["nna"]["means"] == {2: 3.0}
+        assert summary["nna"]["median_wall_ms"] == 7.0

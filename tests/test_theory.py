@@ -24,6 +24,7 @@ from noisycur.theory import (
     embedding_sketch_size,
     failure_rate,
     guarantee_sample_sizes,
+    rate_verdict,
     recovery_probability_floor,
     ridge_contraction_factor,
     ridge_resolvent_constant,
@@ -51,6 +52,21 @@ class TestBoundReport:
         assert failure_rate(reps) == 0.5
         with pytest.raises(ValueError):
             success_rate([])
+
+    @pytest.mark.parametrize("fails, stated, ok", [
+        (2, 0.1, True),    # 0.5 <= 0.1 + 3 sqrt(0.09 / 4) = 0.55
+        (3, 0.1, False),   # 0.75 > 0.55
+        (0, 0.0, True),    # a stated rate of 0 allows no failure
+        (1, 0.0, False),
+    ])
+    def test_rate_verdict(self, fails, stated, ok):
+        reps = [BoundReport("c", 0, 1, k >= fails, 1, {"fail_prob": stated})
+                for k in range(4)]
+        observed, allowed, verdict = rate_verdict(reps)
+        assert observed == fails / 4
+        assert allowed == pytest.approx(
+            stated + 3 * math.sqrt(stated * (1 - stated) / 4), rel=1e-15)
+        assert verdict is ok
 
 
 class TestRidgeContractionFactor:
