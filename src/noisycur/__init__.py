@@ -16,7 +16,6 @@ from .linalg import (
     shrinked_row_scores,
 )
 from .observe import (
-    BudgetLedger,
     InfeasiblePlanError,
     ObservationSet,
     TwoCostModel,
@@ -64,7 +63,6 @@ from .harness import (
     ExperimentConfig,
     SweepResult,
     emit_csv,
-    relative_error,
     run_sweep,
 )
 

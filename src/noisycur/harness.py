@@ -24,7 +24,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -44,7 +44,6 @@ from .datasets import (
 )
 from .linalg import as_matrix
 from .observe import (
-    BudgetLedger,
     InfeasiblePlanError,
     TwoCostModel,
     sample_columns,
@@ -66,7 +65,6 @@ __all__ = [
     "resolve_hyper",
     "run_single_cell",
     "run_sweep",
-    "relative_error",
     "error_metrics",
     "emit_csv",
     "parse_csv",
@@ -283,21 +281,17 @@ class ExperimentConfig:
     hyper: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        hyper = {}
-        for name, values in self.hyper.items():
-            hyper[name] = {k: list(v) if isinstance(v, tuple) else v
-                           for k, v in values.items()}
+        """The resolved config in SCHEMA's layout, tuples as lists."""
+        def plain(values):
+            return {k: list(v) if isinstance(v, tuple) else v
+                    for k, v in values.items()}
         return {
-            "dataset": dict(self.dataset),
-            "cost": dict(self.cost),
-            "sweep": {
-                "d_grid": list(self.d_grid),
-                "n_trials": self.n_trials,
-                "algorithms": list(self.algorithms),
-                "master_seed": self.master_seed,
-                "workers": self.workers,
-            },
-            "hyper": hyper,
+            "dataset": plain(self.dataset),
+            "cost": plain(self.cost),
+            "sweep": plain({key: getattr(self, key)
+                            for key in SCHEMA["sweep"]}),
+            "hyper": {name: plain(values)
+                      for name, values in self.hyper.items()},
         }
 
 
@@ -469,29 +463,23 @@ def build_cost_model(config: ExperimentConfig, n_rows: int,
     return model
 
 
-def relative_error(a, a_bar) -> float:
-    """||a - a_bar||_F / ||a||_F, falling back to the absolute error when
-    ||a||_F = 0 (error_metrics carries the explicit flag)."""
-    return error_metrics(a, a_bar)["rel_error"]
-
-
 def error_metrics(a, a_bar) -> dict:
-    """Relative and squared absolute Frobenius errors, plus a flag marking
-    the degenerate zero-norm reference where 'relative' means absolute."""
+    """A row's two errors: rel_error ||a - a_bar||_F / ||a||_F, which is
+    the absolute error when ||a||_F = 0, and abs_error_sq
+    ||a - a_bar||_F^2."""
     a = as_matrix(a, "a")
     a_bar = as_matrix(a_bar, "a_bar")
     if a.shape != a_bar.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {a_bar.shape}")
     diff_sq = float(np.sum((a - a_bar) ** 2))
-    denom = float(np.linalg.norm(a))
-    zero_norm = denom == 0.0
-    rel = math.sqrt(diff_sq) if zero_norm else math.sqrt(diff_sq) / denom
-    return {"rel_error": rel, "abs_error_sq": diff_sq, "zero_norm": zero_norm}
+    denom = float(np.linalg.norm(a)) or 1.0
+    return {"rel_error": math.sqrt(diff_sq) / denom, "abs_error_sq": diff_sq}
 
 
 @dataclass(frozen=True, slots=True)
 class SweepResult:
-    """One sweep cell.  hyperparams is a JSON object string (sorted keys)."""
+    """One sweep cell; its fields are the CSV columns, in order.
+    hyperparams is a JSON object string (sorted keys)."""
 
     dataset: str
     algorithm: str
@@ -508,22 +496,32 @@ class SweepResult:
     feasible: bool
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(SweepResult))
+
+
 class Oracle:
     """Metered reads of one private matrix under one two-cost budget.
 
-    Every read charges ``ledger`` before it draws.  A read of fewer than
-    one sample, or one costing more than is left, raises
-    InfeasiblePlanError with nothing drawn and nothing charged.
+    Every read is paid for before it draws: ``charges`` records each
+    (kind, count, unit_price) in read order and ``spent`` is their running
+    total.  A read of fewer than one sample, or one costing more than is
+    left, raises InfeasiblePlanError with nothing drawn and nothing
+    charged.
     """
 
     def __init__(self, a, model: TwoCostModel):
         self._a = as_matrix(a, "a")
         self.model = model
-        self.ledger = BudgetLedger(model.budget)
+        self.charges = []
+        self.spent = 0.0
+
+    @property
+    def leftover(self) -> float:
+        return self.model.budget - self.spent
 
     def affordable(self, unit_price: float, reserved: float = 0.0) -> int:
         """Reads at unit_price that the budget left, less reserved, buys."""
-        return int(math.floor((self.ledger.leftover - reserved) / unit_price
+        return int(math.floor((self.leftover - reserved) / unit_price
                               + 1e-12))
 
     def _pay(self, *reads):
@@ -533,12 +531,14 @@ class Oracle:
             if count < 1:
                 raise InfeasiblePlanError(f"read of {count} {kind} samples")
             cost += count * unit_price
-            if cost > self.ledger.leftover + 1e-9:
+            if cost > self.leftover + 1e-9:
                 raise InfeasiblePlanError(
                     f"{count} {kind} samples: reads cost {cost}, "
-                    f"{self.ledger.leftover} left")
-        for read in reads:
-            self.ledger.charge(*read)
+                    f"{self.leftover} left")
+        for kind, count, unit_price in reads:
+            charge = (kind, int(count), float(unit_price))
+            self.charges.append(charge)
+            self.spent += charge[1] * charge[2]
 
     def columns(self, count: int, rng: np.random.Generator):
         """observe.sample_columns: (c_tilde, indices), at column_price each."""
@@ -584,11 +584,10 @@ class _CellOutcome:
     hyperparams: dict
 
 
-def _holdout_split(pm: PartialMatrix, rng: np.random.Generator,
-                   held_fraction: float = 0.2):
-    """Split observed cells into (train PartialMatrix, held-out positions
-    in pm's cell arrays)."""
-    n_held = int(math.floor(held_fraction * pm.n_cells))
+def _holdout_split(pm: PartialMatrix, rng: np.random.Generator):
+    """Split observed cells 80/20 into (train PartialMatrix, held-out
+    positions in pm's cell arrays)."""
+    n_held = int(math.floor(0.2 * pm.n_cells))
     if n_held < 1 or pm.n_cells - n_held < 1:
         return None, None
     order = rng.permutation(pm.n_cells)
@@ -718,11 +717,12 @@ def run_single_cell(a, model: TwoCostModel, algorithm: str, d: int,
 
     The driver reads the matrix only through an Oracle over ``model``, so
     it cannot spend more than the budget: a read the budget cannot pay
-    for is refused before it draws.  Returns a plain row dict (s,
-    rel_error, abs_error_sq, spent, leftover, hyperparams, wall_ms,
-    feasible); spent and leftover are the oracle ledger's.  A refused read
-    comes back as a row with feasible = False, NaN errors and nothing
-    spent instead of raising, so sweeps continue past it.
+    for is refused before it draws.  Returns the SweepResult fields a
+    cell sets, as a plain dict (s, rel_error, abs_error_sq, spent,
+    leftover, hyperparams, wall_ms, feasible); spent and leftover are the
+    oracle's.  A refused read comes back as a row with feasible = False,
+    NaN errors and nothing spent instead of raising, so sweeps continue
+    past it.
     """
     if algorithm not in _DRIVERS:
         raise ConfigError(f"unknown algorithm '{algorithm}'; "
@@ -743,14 +743,13 @@ def run_single_cell(a, model: TwoCostModel, algorithm: str, d: int,
                                       sort_keys=True),
             "wall_ms": wall_ms, "feasible": False,
         }
-    metrics = error_metrics(a, outcome.estimate)
+    errors = error_metrics(a, outcome.estimate)
     wall_ms = (time.perf_counter() - start) * 1e3
     return {
         "s": int(outcome.n_sketch_rows),
-        "rel_error": metrics["rel_error"],
-        "abs_error_sq": metrics["abs_error_sq"],
-        "spent": oracle.ledger.spent,
-        "leftover": oracle.ledger.leftover,
+        **errors,
+        "spent": oracle.spent,
+        "leftover": oracle.leftover,
         "hyperparams": json.dumps(outcome.hyperparams, sort_keys=True),
         "wall_ms": wall_ms,
         "feasible": True,
@@ -776,16 +775,14 @@ def run_sweep(config: ExperimentConfig):
     if hyper["chen"]["rank"] is None:
         hyper["chen"] = {**hyper["chen"], "rank": ds.rank}
 
-    # (algorithm, str(d key), trial, seed, d values filled), in run order
-    cells = sorted(
-        (alg, str(d_key), trial,
-         cell_seed(config.master_seed, alg, d_key, trial),
-         config.d_grid if d_key == "*" else (d_key,))
-        for alg in config.algorithms
-        for d_key in (["*"] if alg in D_INDEPENDENT else config.d_grid)
-        for trial in range(config.n_trials))
+    # (algorithm, trial, seed, d values filled), in run order
+    cells = [(alg, trial, cell_seed(config.master_seed, alg, d_key, trial),
+              config.d_grid if d_key == "*" else (d_key,))
+             for alg in config.algorithms
+             for d_key in (["*"] if alg in D_INDEPENDENT else config.d_grid)
+             for trial in range(config.n_trials)]
     payloads = [(a, model, alg, fills[0], seed, hyper[alg])
-                for alg, _, _, seed, fills in cells]
+                for alg, _, seed, fills in cells]
     if config.workers > 1:
         # Imported here: multiprocessing costs every one-worker caller
         # about 1 MB of resident memory.
@@ -796,23 +793,12 @@ def run_sweep(config: ExperimentConfig):
     else:
         outcomes = [_pool_cell(payload) for payload in payloads]
 
-    rows = [
-        SweepResult(
-            dataset=ds.name, algorithm=alg, d=int(d), s=out["s"],
-            trial=trial, seed=seed, rel_error=out["rel_error"],
-            abs_error_sq=out["abs_error_sq"], spent=out["spent"],
-            leftover=out["leftover"], hyperparams=out["hyperparams"],
-            wall_ms=out["wall_ms"], feasible=out["feasible"],
-        )
-        for (alg, _, trial, seed, fills), out in zip(cells, outcomes)
-        for d in fills]
+    rows = [SweepResult(dataset=ds.name, algorithm=alg, d=int(d), trial=trial,
+                        seed=seed, **out)
+            for (alg, trial, seed, fills), out in zip(cells, outcomes)
+            for d in fills]
     rows.sort(key=lambda r: (r.dataset, r.algorithm, r.d, r.trial))
     return rows
-
-
-CSV_COLUMNS = ("dataset", "algorithm", "d", "s", "trial", "seed",
-               "rel_error", "abs_error_sq", "spent", "leftover",
-               "hyperparams", "wall_ms", "feasible")
 
 
 def _format_field(value) -> str:

@@ -5,7 +5,7 @@ N(0, sigma_c^2) noise; entry samples cost entry_price each with N(0,
 sigma_e^2) noise, sigma_e < sigma_c.  Noise is regenerated per observation:
 sampling the same column or cell twice yields independent noise draws.
 The samplers here read a matrix without charging anything; a sweep reads
-through harness.Oracle, which charges a BudgetLedger before every read and
+through harness.Oracle, which charges the budget before every read and
 refuses, with InfeasiblePlanError, a read the budget cannot pay for.
 
 noisyCUR's sketch holds per-row counts k_u (linalg.build_sketch), and
@@ -25,7 +25,6 @@ __all__ = [
     "InfeasiblePlanError",
     "TwoCostModel",
     "ObservationSet",
-    "BudgetLedger",
     "sample_columns",
     "sample_rows_noisy",
     "sample_entries",
@@ -109,27 +108,6 @@ class ObservationSet:
             entry_samples=np.concatenate([self.entry_samples,
                                           other.entry_samples]),
         )
-
-
-@dataclass
-class BudgetLedger:
-    """Append-only record of observation charges against one budget."""
-
-    budget: float
-    charges: list = field(default_factory=list)
-
-    def charge(self, kind: str, count: int, unit_price: float):
-        if count < 0 or unit_price < 0:
-            raise ValueError("charges must be nonnegative")
-        self.charges.append((kind, int(count), float(unit_price)))
-
-    @property
-    def spent(self) -> float:
-        return float(sum(c * p for _, c, p in self.charges))
-
-    @property
-    def leftover(self) -> float:
-        return self.budget - self.spent
 
 
 def sample_columns(a, d: int, sigma_c: float, rng: np.random.Generator):

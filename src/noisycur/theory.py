@@ -167,6 +167,12 @@ def ridge_resolvent_constant(ridge_lambda: float, sigma_sq: float,
     return gain * gain
 
 
+def _embedding_lead(eps: float) -> float:
+    """(6 + 2 eps) / (3 eps^2), the leading constant of both the embedding
+    sketch size and the guarantee's incoherence branch."""
+    return (6 + 2 * eps) / (3 * eps * eps)
+
+
 def embedding_sketch_size(d: int, eps: float, delta: float) -> int:
     """Rows needed for a shrinked-leverage sketch of a d-column matrix to
     be a (1 +/- eps) subspace embedding with failure probability <= delta:
@@ -178,8 +184,8 @@ def embedding_sketch_size(d: int, eps: float, delta: float) -> int:
         raise ValueError("eps must be in (0, 1)")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    lead = (6 + 2 * eps) / (3 * eps * eps)
-    return max(1, math.ceil(lead * 2 * d * math.log(d / delta)))
+    return max(1, math.ceil(_embedding_lead(eps) * 2 * d
+                            * math.log(d / delta)))
 
 
 def guarantee_sample_sizes(rank: int, beta: float, kappa2: float,
@@ -209,8 +215,8 @@ def guarantee_sample_sizes(rank: int, beta: float, kappa2: float,
     if sigma_c < 0:
         raise ValueError("sigma_c must be nonnegative")
 
-    incoherence_branch = ((6 + 2 * eps) / (3 * eps * eps)
-                          * beta * rank * math.log(rank / delta))
+    incoherence_branch = (_embedding_lead(eps) * beta * rank
+                          * math.log(rank / delta))
     noise_branch = (8 * (1 + delta) ** 2 / (dense_c**2 * (1 - eps) * eps)
                     * rank * kappa2**2 * sigma_c**2)
     d_min = max(1, math.ceil(max(incoherence_branch, noise_branch)))
@@ -522,6 +528,13 @@ def check_span_capture_bound(rank: int, n_instances: int,
     return reports
 
 
+def _sigma_gap(m: int, rank: int, d: int) -> float:
+    """1/2 sqrt(m - r) - sqrt(d): the bottom singular value of a rank-r
+    m x d matrix plus N(0, sigma^2) noise is at least this times sigma,
+    with high probability, when it is positive."""
+    return 0.5 * math.sqrt(m - rank) - math.sqrt(d)
+
+
 def check_perturbed_sigma(n_instances: int, rng: np.random.Generator, *,
                           m: int = 400, d: int = 5, rank: int = 2,
                           sigma: float = 1.0, delta: float = 0.3):
@@ -546,7 +559,7 @@ def check_perturbed_sigma(n_instances: int, rng: np.random.Generator, *,
         raise HypothesisError("delta must be in (0, 1)")
     if sigma < 0:
         raise HypothesisError("sigma must be nonnegative")
-    gap = 0.5 * math.sqrt(m - rank) - math.sqrt(d)
+    gap = _sigma_gap(m, rank, d)
     if gap <= 0:
         raise HypothesisError(
             f"bound is vacuous for m={m}, d={d}, rank={rank}: "
@@ -642,7 +655,7 @@ def check_recovery_guarantee(a, n_trials: int, rng: np.random.Generator, *,
         raise HypothesisError(
             f"row sample count {s} below the guaranteed minimum {s_min}")
 
-    gap = 0.5 * math.sqrt(m - rank) - math.sqrt(d)
+    gap = _sigma_gap(m, rank, d)
     gamma = ridge_contraction_factor(
         ridge_lambda, gap * gap * sigma_c * sigma_c, eps)
     if sigma_e == 0:

@@ -28,8 +28,8 @@ from noisycur.harness import (
     build_cost_model,
     config_from_dict,
     emit_csv,
+    error_metrics,
     load_dataset,
-    relative_error,
     run_sweep,
     summarize,
 )
@@ -127,7 +127,7 @@ def test_criterion_1_noiseless_exact_recovery():
     for trial in range(10):
         rng = np.random.default_rng(1000 + trial)
         a = synthetic_lowrank(40, 30, 3, rng=rng)
-        rel = relative_error(a, noisycur(a, cfg, rng).estimate)
+        rel = error_metrics(a, noisycur(a, cfg, rng).estimate)["rel_error"]
         worst = max(worst, rel)
         assert rel < 1e-6
     elapsed = time.perf_counter() - t0

@@ -28,7 +28,6 @@ from noisycur.harness import (
     load_dataset,
     parse_csv,
     read_raw_config,
-    relative_error,
     resolve_hyper,
     run_single_cell,
     run_sweep,
@@ -357,12 +356,12 @@ class TestErrorMetrics:
     def test_relative(self):
         a = np.eye(3)
         b = np.eye(3) * 1.1
-        assert relative_error(a, b) == pytest.approx(
+        assert error_metrics(a, b)["rel_error"] == pytest.approx(
             np.linalg.norm(a - b) / np.linalg.norm(a))
 
     def test_zero_reference(self):
         m = error_metrics(np.zeros((2, 2)), np.ones((2, 2)))
-        assert m["zero_norm"]
+        assert set(m) == {"rel_error", "abs_error_sq"}
         assert m["rel_error"] == pytest.approx(2.0)  # absolute fallback
         assert m["abs_error_sq"] == pytest.approx(4.0)
 
@@ -513,18 +512,18 @@ class TestOracle:
         obs = oracle.entries(oracle.affordable(1.0), rng)
         assert c_tilde.shape == (12, 2) and r_rows.shape == (1, 8)
         # a full row costs what a column does per entry: 2.4 / 12 * 8
-        assert oracle.ledger.charges == [("column", 2, pytest.approx(2.4)),
+        assert oracle.charges == [("column", 2, pytest.approx(2.4)),
                                          ("row", 1, pytest.approx(1.6)),
                                          ("entry", 93, 1.0)]
         assert len(obs.entry_samples) == 93  # floor(100 - 4.8 - 1.6)
-        assert oracle.ledger.leftover == pytest.approx(0.6)
+        assert oracle.leftover == pytest.approx(0.6)
 
     def test_noisycur_pays_for_every_sketched_entry(self):
         oracle = self.oracle(100.0)
         draw = oracle.noisycur(3, np.random.default_rng(1))
         # 100 - 3 * 2.4 = 92.8 buys 11 rows of 8 entries
         assert draw.sketch.n_samples == 11
-        assert oracle.ledger.charges == [("column", 3, pytest.approx(2.4)),
+        assert oracle.charges == [("column", 3, pytest.approx(2.4)),
                                          ("entry", 88, 1.0)]
 
     READS = {
@@ -542,10 +541,10 @@ class TestOracle:
         oracle = self.oracle(100.0)
         rng = np.random.default_rng(3)
         oracle.entries(10, rng)  # something already spent
-        charges, state = list(oracle.ledger.charges), rng.bit_generator.state
+        charges, state = list(oracle.charges), rng.bit_generator.state
         with pytest.raises(InfeasiblePlanError):
             read(oracle, over if too_many else 0, rng)
-        assert oracle.ledger.charges == charges
+        assert oracle.charges == charges
         assert rng.bit_generator.state == state
 
     def test_noisycur_without_a_sketched_row_charges_nothing(self):
@@ -556,12 +555,39 @@ class TestOracle:
         state = rng.bit_generator.state
         with pytest.raises(InfeasiblePlanError):
             oracle.noisycur(24, rng)
-        assert oracle.ledger.charges == [("entry", 40, 1.0)]
+        assert oracle.charges == [("entry", 40, 1.0)]
         assert rng.bit_generator.state == state
 
     def test_matrix_is_private(self):
         public = [k for k in vars(self.oracle(10.0)) if not k.startswith("_")]
-        assert sorted(public) == ["ledger", "model"]
+        assert sorted(public) == ["charges", "model", "spent"]
+
+    def test_violation_raises(self):
+        # an overspend is refused at the read, before it is drawn or charged
+        oracle = self.oracle(10.0)
+        with pytest.raises(InfeasiblePlanError):
+            oracle.entries(11, np.random.default_rng(0))
+        assert oracle.charges == []
+        oracle.entries(10, np.random.default_rng(0))
+        assert oracle.leftover == pytest.approx(0.0)
+
+    def test_spent_is_in_order_sum_of_charges(self):
+        oracle = self.oracle(100.0)
+        rng = np.random.default_rng(5)
+        oracle.columns(3, rng)
+        oracle.rows(2, rng)
+        oracle.noisycur(1, rng)
+        oracle.entries(oracle.affordable(1.0), rng)
+        total = 0.0
+        for _, count, unit_price in oracle.charges:
+            total += count * unit_price
+        assert len(oracle.charges) == 5
+        assert oracle.spent == total
+        assert oracle.leftover == 100.0 - total
+        spent, charges = oracle.spent, list(oracle.charges)
+        with pytest.raises(InfeasiblePlanError):
+            oracle.entries(1, rng)
+        assert oracle.spent == spent and oracle.charges == charges
 
 
 SPEND_HYPER = {
@@ -739,7 +765,7 @@ class TestCsvRoundTrip:
         return [
             SweepResult(dataset="synthetic", algorithm="ncur", d=2, s=8,
                         trial=0, seed=12345, rel_error=0.125,
-                        abs_error_sq=1.0 / 3.0, spent=96.0, leftover=0.0,
+                        abs_error_sq=1.0 / 3.0, spent=93.6, leftover=96.0 - 93.6,
                         hyperparams='{"ridge_lambda": 0.1}',
                         wall_ms=12.5, feasible=True),
             SweepResult(dataset="synthetic", algorithm="ncur", d=21, s=0,
@@ -750,18 +776,24 @@ class TestCsvRoundTrip:
         ]
 
     def test_round_trip_exact(self, tmp_path):
-        p = tmp_path / "out.csv"
-        emit_csv(self.rows(), p)
-        back = parse_csv(p)
-        assert len(back) == 2
-        r0 = back[0]
-        assert r0.rel_error == 0.125
-        assert r0.abs_error_sq == 1.0 / 3.0  # .17g round-trips float64
-        assert r0.hyperparams == '{"ridge_lambda": 0.1}'
-        assert r0.feasible
-        r1 = back[1]
-        assert math.isnan(r1.rel_error)
-        assert not r1.feasible
+        # every field comes back equal, floats bit for bit (.17g round-trips
+        # float64) and NaN as NaN; without the wall_ms column it reads NaN
+        def same(x, y):
+            return x == y or (isinstance(x, float) and math.isnan(x)
+                              and math.isnan(y))
+
+        for with_wall in (True, False):
+            p = tmp_path / f"out-{with_wall}.csv"
+            emit_csv(self.rows(), p, include_wall_time=with_wall)
+            back = parse_csv(p)
+            assert len(back) == 2
+            for row, got in zip(self.rows(), back):
+                for name in CSV_COLUMNS:
+                    want = getattr(row, name)
+                    if name == "wall_ms" and not with_wall:
+                        want = math.nan
+                    assert same(getattr(got, name), want), (name, with_wall)
+                    assert type(getattr(got, name)) is type(want), name
 
     def test_header_matches_schema(self, tmp_path):
         p = tmp_path / "out.csv"

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from noisycur.harness import Oracle
 from noisycur.linalg import SketchMatrix
 from noisycur.observe import (
-    BudgetLedger,
     InfeasiblePlanError,
     ObservationSet,
     TwoCostModel,
@@ -57,8 +56,8 @@ class TestPlanSplit:
     def test_exact_split(self):
         d, s, oracle = split(100.0, n=10, d=5)
         assert (d, s) == (5, 8)
-        assert oracle.ledger.spent == pytest.approx(100.0)
-        assert oracle.ledger.leftover == pytest.approx(0.0)
+        assert oracle.spent == pytest.approx(100.0)
+        assert oracle.leftover == pytest.approx(0.0)
 
     def test_d_zero_all_rows(self):
         # no column read: refused, and the whole budget buys 10 rows
@@ -74,7 +73,7 @@ class TestPlanSplit:
     def test_leftover_when_rows_do_not_divide(self):
         _, s, oracle = split(103.0, n=10, d=5)
         assert s == 8
-        assert oracle.ledger.leftover == pytest.approx(3.0)
+        assert oracle.leftover == pytest.approx(3.0)
 
     @given(st.floats(10.0, 500.0), st.integers(1, 20), st.integers(1, 10))
     @settings(max_examples=100, deadline=None)
@@ -87,10 +86,10 @@ class TestPlanSplit:
                     or budget - d * model.column_price < n * model.entry_price)
             return
         assert d_read == d and s >= 1
-        assert oracle.ledger.spent <= budget + 1e-9
+        assert oracle.spent <= budget + 1e-9
         recon = d * model.column_price + s * n * model.entry_price
-        assert recon == pytest.approx(oracle.ledger.spent)
-        assert oracle.ledger.spent + oracle.ledger.leftover == \
+        assert recon == pytest.approx(oracle.spent)
+        assert oracle.spent + oracle.leftover == \
             pytest.approx(budget)
 
     @given(st.integers(1, 15), st.integers(1, 12))
@@ -233,24 +232,6 @@ class TestObservationSet:
         assert len(a.entry_samples) == 2
         with pytest.raises(ValueError):
             a.merged(ObservationSet(shape=(2, 2)))
-
-
-class TestBudgetLedger:
-    def test_accumulates(self):
-        led = BudgetLedger(50.0)
-        led.charge("column", 5, 4.0)
-        led.charge("entry", 30, 1.0)
-        assert led.spent == pytest.approx(50.0)
-        assert led.leftover == pytest.approx(0.0)
-
-    def test_violation_raises(self):
-        # an overspend is refused at the read, before it is drawn or charged
-        oracle = Oracle(np.ones((4, 4)), model_with(10.0))
-        with pytest.raises(InfeasiblePlanError):
-            oracle.entries(11, np.random.default_rng(0))
-        assert oracle.ledger.charges == []
-        oracle.entries(10, np.random.default_rng(0))
-        assert oracle.ledger.leftover == pytest.approx(0.0)
 
 
 class TestSnr:
