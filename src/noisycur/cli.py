@@ -17,6 +17,7 @@ import numpy as np
 
 from .completion import NoisyCurConfig, draw_noisycur_samples
 from .harness import (
+    SCHEMA,
     ConfigError,
     config_from_dict,
     emit_csv,
@@ -47,6 +48,15 @@ class BoundViolation(Exception):
     """A checked mathematical bound failed; maps to exit code 3."""
 
 
+def _defaults(schema: dict) -> dict:
+    """{key: default} of one harness.SCHEMA table."""
+    return {key: default for key, (default, _) in schema.items()}
+
+
+_DATASET = _defaults(SCHEMA["dataset"])
+_NCUR = _defaults(SCHEMA["hyper"]["ncur"])
+
+
 @click.group()
 def cli():
     """Matrix completion from noisy column and entry samples under a
@@ -54,11 +64,16 @@ def cli():
 
 
 @cli.command()
-@click.option("--rows", type=int, default=80, show_default=True)
-@click.option("--cols", type=int, default=60, show_default=True)
-@click.option("--rank", type=int, default=4, show_default=True)
-@click.option("--mean", type=float, default=5.0, show_default=True)
-@click.option("--std", type=float, default=1.0, show_default=True)
+@click.option("--rows", type=int, default=_DATASET["n_rows"],
+              show_default=True)
+@click.option("--cols", type=int, default=_DATASET["n_cols"],
+              show_default=True)
+@click.option("--rank", type=int, default=_DATASET["rank"],
+              show_default=True)
+@click.option("--mean", type=float, default=_DATASET["mean"],
+              show_default=True)
+@click.option("--std", type=float, default=_DATASET["std"],
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True,
               help="destination .npy file")
@@ -205,10 +220,14 @@ def check(seed, instances, trials, skip_probabilistic):
               help="column noise standard deviation")
 @click.option("--sigma-e", type=float, default=0.0, show_default=True,
               help="entry noise standard deviation")
-@click.option("--lo", type=float, default=1e-6, show_default=True)
-@click.option("--hi", type=float, default=1e3, show_default=True)
-@click.option("--num", type=int, default=40, show_default=True)
-@click.option("--folds", type=int, default=5, show_default=True)
+@click.option("--lo", type=float, default=_NCUR["lambda_grid"]["lo"],
+              show_default=True)
+@click.option("--hi", type=float, default=_NCUR["lambda_grid"]["hi"],
+              show_default=True)
+@click.option("--num", type=int, default=_NCUR["lambda_grid"]["num"],
+              show_default=True)
+@click.option("--folds", type=int, default=_NCUR["cv_folds"],
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def cv(data, n_columns, n_rows, sigma_c, sigma_e, lo, hi, num, folds,
        seed):

@@ -80,7 +80,6 @@ class NoisyCurDraw:
     """
 
     c_tilde: np.ndarray
-    column_indices: np.ndarray
     basis: np.ndarray
     singular_values: np.ndarray
     sketch: SketchMatrix
@@ -104,16 +103,13 @@ class NoisyCurDraw:
 class Reconstruction:
     """Output of one noisyCUR run.
 
-    estimate = c_tilde @ coefficients always holds by construction.
-    diagnostics records the measured sketch distortion on span(c_tilde),
-    the smallest singular values of c_tilde and of the sketched design, and
-    the ridge weight actually used.
+    estimate is c_tilde @ X for the ridge coefficients X.  diagnostics
+    records the measured sketch distortion on span(c_tilde), the smallest
+    singular values of c_tilde and of the sketched design, and the ridge
+    weight actually used.
     """
 
     estimate: np.ndarray
-    c_tilde: np.ndarray
-    coefficients: np.ndarray
-    column_indices: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -169,7 +165,7 @@ def draw_noisycur_samples(a, cfg: NoisyCurConfig,
     """
     a = as_matrix(a)
     rng_cols, rng_sketch, rng_rows = rng.spawn(3)
-    c_tilde, indices = sample_columns(a, cfg.n_columns, cfg.sigma_c, rng_cols)
+    c_tilde, _ = sample_columns(a, cfg.n_columns, cfg.sigma_c, rng_cols)
     if np.any(c_tilde):
         basis, singular_values = orthonormal_basis(
             c_tilde, return_singular_values=True)
@@ -184,7 +180,6 @@ def draw_noisycur_samples(a, cfg: NoisyCurConfig,
     row_targets = sample_rows_noisy(a, sketch, cfg.sigma_e, rng_rows)
     return NoisyCurDraw(
         c_tilde=c_tilde,
-        column_indices=indices,
         basis=basis,
         singular_values=singular_values,
         sketch=sketch,
@@ -210,8 +205,6 @@ def solve_from_draw(draw: NoisyCurDraw,
     """
     x, design_sv = ridge_solve(draw.design, draw.row_targets, ridge_lambda,
                                return_singular_values=True)
-    estimate = draw.c_tilde @ x
-
     d = draw.c_tilde.shape[1]
     diagnostics = {
         "sketch_distortion": (
@@ -222,13 +215,7 @@ def solve_from_draw(draw: NoisyCurDraw,
         "basis_rank": draw.basis_rank,
         "ridge_lambda": float(ridge_lambda),
     }
-    return Reconstruction(
-        estimate=estimate,
-        c_tilde=draw.c_tilde,
-        coefficients=x,
-        column_indices=draw.column_indices,
-        diagnostics=diagnostics,
-    )
+    return Reconstruction(estimate=draw.c_tilde @ x, diagnostics=diagnostics)
 
 
 def noisycur(a, cfg: NoisyCurConfig,

@@ -25,6 +25,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 import yaml
@@ -540,22 +541,6 @@ class Oracle:
             self.charges.append(charge)
             self.spent += charge[1] * charge[2]
 
-    def columns(self, count: int, rng: np.random.Generator):
-        """observe.sample_columns: (c_tilde, indices), at column_price each."""
-        self._pay(("column", count, self.model.column_price))
-        return sample_columns(self._a, count, self.model.sigma_c, rng)
-
-    def rows(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """count full rows drawn uniformly with replacement, each entry read
-        through N(0, sigma_c^2) noise."""
-        m, n = self._a.shape
-        # A full noisy row gets the same discount fraction as a noisy
-        # column: alpha of its entrywise price.
-        self._pay(("row", count, self.model.column_price / m * n))
-        index = rng.integers(0, m, size=count)
-        return (self._a[index]
-                + self.model.sigma_c * rng.standard_normal((count, n)))
-
     def entries(self, count: int, rng: np.random.Generator, weights=None):
         """observe.sample_entries: an ObservationSet, at entry_price each."""
         self._pay(("entry", count, self.model.entry_price))
@@ -576,12 +561,27 @@ class Oracle:
                              sigma_e=self.model.sigma_e, ridge_lambda=0.0)
         return draw_noisycur_samples(self._a, cfg, rng)
 
-
-@dataclass
-class _CellOutcome:
-    estimate: np.ndarray
-    n_sketch_rows: int
-    hyperparams: dict
+    def curplus(self, d: int, rng: np.random.Generator):
+        """CUR+'s reads, (c_tilde, rows, ObservationSet): (d + 1) // 2
+        noisy columns, d // 2 full rows drawn uniformly with replacement,
+        each entry read through N(0, sigma_c^2) noise, and as many entries
+        as the rest buys."""
+        m, n = self._a.shape
+        model = self.model
+        n_c, n_r = (d + 1) // 2, d // 2
+        # A full noisy row gets the same discount fraction as a noisy
+        # column: alpha of its entrywise price.
+        row_price = model.column_price / m * n
+        n_e = self.affordable(
+            model.entry_price,
+            reserved=n_c * model.column_price + n_r * row_price)
+        self._pay(("column", n_c, model.column_price),
+                  ("row", n_r, row_price),
+                  ("entry", n_e, model.entry_price))
+        c_tilde, _ = sample_columns(self._a, n_c, model.sigma_c, rng)
+        index = rng.integers(0, m, size=n_r)
+        rows = self._a[index] + model.sigma_c * rng.standard_normal((n_r, n))
+        return c_tilde, rows, sample_entries(self._a, n_e, model.sigma_e, rng)
 
 
 def _holdout_split(pm: PartialMatrix, rng: np.random.Generator):
@@ -647,47 +647,38 @@ def _fit_entry_delta(pm: PartialMatrix, sigma_e: float,
                  "cv_gap_max": cv_gap_max}
 
 
+# A driver reads one cell through its oracle and returns (estimate, s,
+# hyperparams): s is the row's count of sketched or full rows read, and
+# hyperparams what the row records of the cell's choices and counts.
+
 def _run_ncur(oracle: Oracle, d: int, rng: np.random.Generator,
-              hyper: dict) -> _CellOutcome:
+              hyper: dict):
     draw = oracle.noisycur(d, rng)
     best, _, folds = draw.cross_validate(hyper["lambda_grid"],
                                          hyper["cv_folds"])
-    rec = solve_from_draw(draw, best)
-    return _CellOutcome(
-        estimate=rec.estimate, n_sketch_rows=draw.sketch.n_samples,
-        hyperparams={"ridge_lambda": best, "cv_folds": folds},
-    )
+    return (solve_from_draw(draw, best).estimate, draw.sketch.n_samples,
+            {"ridge_lambda": best, "cv_folds": folds})
 
 
 def _run_curplus(oracle: Oracle, d: int, rng: np.random.Generator,
-                 hyper: dict) -> _CellOutcome:
-    n_c = (d + 1) // 2
-    n_r = d - n_c
-    c_tilde, _ = oracle.columns(n_c, rng)
-    r_rows = oracle.rows(n_r, rng)
-    n_entries = oracle.affordable(oracle.model.entry_price)
-    entries = oracle.entries(n_entries, rng)
-    fit = curplus(c_tilde, r_rows, PartialMatrix.from_observations(entries))
-    return _CellOutcome(
-        estimate=fit.estimate, n_sketch_rows=n_r,
-        hyperparams={"n_col_samples": n_c, "n_row_samples": n_r,
-                     "n_entry_samples": n_entries},
-    )
+                 hyper: dict):
+    c_tilde, rows, entries = oracle.curplus(d, rng)
+    fit = curplus(c_tilde, rows, PartialMatrix.from_observations(entries))
+    return fit.estimate, len(rows), {
+        "n_col_samples": c_tilde.shape[1], "n_row_samples": len(rows),
+        "n_entry_samples": len(entries.entry_samples)}
 
 
 def _run_nna(oracle: Oracle, d: int, rng: np.random.Generator,
-             hyper: dict) -> _CellOutcome:
+             hyper: dict):
     n_entries = oracle.affordable(oracle.model.entry_price)
     pm = PartialMatrix.from_observations(oracle.entries(n_entries, rng))
     fit, record = _fit_entry_delta(pm, oracle.model.sigma_e, rng, hyper)
-    return _CellOutcome(
-        estimate=fit.matrix, n_sketch_rows=0,
-        hyperparams={**record, "n_entry_samples": n_entries},
-    )
+    return fit.matrix, 0, {**record, "n_entry_samples": n_entries}
 
 
 def _run_chen(oracle: Oracle, d: int, rng: np.random.Generator,
-              hyper: dict) -> _CellOutcome:
+              hyper: dict):
     rank = hyper["rank"]
     if rank is None:
         raise ConfigError("chen needs a scout rank (hyper.chen.rank); "
@@ -695,12 +686,7 @@ def _run_chen(oracle: Oracle, d: int, rng: np.random.Generator,
     obs, info = chen_observe(oracle, hyper["phase1_fraction"], rng, rank)
     pm = PartialMatrix.from_observations(obs)
     fit, record = _fit_entry_delta(pm, oracle.model.sigma_e, rng, hyper)
-    return _CellOutcome(
-        estimate=fit.matrix, n_sketch_rows=0,
-        hyperparams={**record, "phase1_count": info["phase1_count"],
-                     "phase2_count": info["phase2_count"],
-                     "scout_rank": rank},
-    )
+    return fit.matrix, 0, {**record, **info, "scout_rank": rank}
 
 
 _DRIVERS = {
@@ -721,8 +707,10 @@ def run_single_cell(a, model: TwoCostModel, algorithm: str, d: int,
     cell sets, as a plain dict (s, rel_error, abs_error_sq, spent,
     leftover, hyperparams, wall_ms, feasible); spent and leftover are the
     oracle's.  A refused read comes back as a row with feasible = False,
-    NaN errors and nothing spent instead of raising, so sweeps continue
-    past it.
+    NaN errors and the refusal in hyperparams instead of raising, so
+    sweeps continue past it.  No driver reads after a refusable read
+    (chen's second phase reads only what is left), so a refused cell has
+    drawn and spent nothing.
     """
     if algorithm not in _DRIVERS:
         raise ConfigError(f"unknown algorithm '{algorithm}'; "
@@ -733,32 +721,24 @@ def run_single_cell(a, model: TwoCostModel, algorithm: str, d: int,
     rng = np.random.default_rng(int(seed))
     start = time.perf_counter()
     try:
-        outcome = _DRIVERS[algorithm](oracle, int(d), rng, hyper)
+        estimate, s, hyperparams = _DRIVERS[algorithm](oracle, int(d), rng,
+                                                       hyper)
     except InfeasiblePlanError as exc:
-        wall_ms = (time.perf_counter() - start) * 1e3
-        return {
-            "s": 0, "rel_error": math.nan, "abs_error_sq": math.nan,
-            "spent": 0.0, "leftover": model.budget,
-            "hyperparams": json.dumps({"infeasible": str(exc)},
-                                      sort_keys=True),
-            "wall_ms": wall_ms, "feasible": False,
-        }
-    errors = error_metrics(a, outcome.estimate)
+        s, hyperparams, feasible = 0, {"infeasible": str(exc)}, False
+        errors = {"rel_error": math.nan, "abs_error_sq": math.nan}
+    else:
+        feasible = True
+        errors = error_metrics(a, estimate)
     wall_ms = (time.perf_counter() - start) * 1e3
     return {
-        "s": int(outcome.n_sketch_rows),
+        "s": int(s),
         **errors,
         "spent": oracle.spent,
         "leftover": oracle.leftover,
-        "hyperparams": json.dumps(outcome.hyperparams, sort_keys=True),
+        "hyperparams": json.dumps(hyperparams, sort_keys=True),
         "wall_ms": wall_ms,
-        "feasible": True,
+        "feasible": feasible,
     }
-
-
-def _pool_cell(payload):
-    a, model, algorithm, d, seed, hyper = payload
-    return run_single_cell(a, model, algorithm, d, seed, hyper)
 
 
 def run_sweep(config: ExperimentConfig):
@@ -781,17 +761,20 @@ def run_sweep(config: ExperimentConfig):
              for alg in config.algorithms
              for d_key in (["*"] if alg in D_INDEPENDENT else config.d_grid)
              for trial in range(config.n_trials)]
-    payloads = [(a, model, alg, fills[0], seed, hyper[alg])
-                for alg, _, seed, fills in cells]
+    # run_single_cell's arguments, one iterable each, every one as long as
+    # cells so that an empty grid maps to no call
+    arguments = (repeat(a, len(cells)), repeat(model, len(cells)),
+                 *zip(*[(alg, fills[0], seed, hyper[alg])
+                        for alg, _, seed, fills in cells]))
     if config.workers > 1:
         # Imported here: multiprocessing costs every one-worker caller
         # about 1 MB of resident memory.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(_pool_cell, payloads))
+            outcomes = list(pool.map(run_single_cell, *arguments))
     else:
-        outcomes = [_pool_cell(payload) for payload in payloads]
+        outcomes = list(map(run_single_cell, *arguments))
 
     rows = [SweepResult(dataset=ds.name, algorithm=alg, d=int(d), trial=trial,
                         seed=seed, **out)

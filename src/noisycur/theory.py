@@ -58,6 +58,8 @@ __all__ = [
 # Relative slack when deciding whether lhs <= rhs, so exact ties at the
 # boundary do not flap with rounding.
 BOUND_SLACK = 1e-12
+# Sketches draw_embedding_sketch tries before it gives up on s.
+MAX_DRAWS = 50
 
 
 class HypothesisError(ValueError):
@@ -71,8 +73,7 @@ class BoundReport:
     Lower bounds (the perturbed bottom-singular-value check) put the
     guaranteed value in lhs and the observed quantity in rhs, keeping the
     orientation uniform.  margin is rhs - lhs.  params records the full
-    instance descriptor (shapes, noise levels, eps, delta, ...) so a report
-    list can be flattened straight into a CSV.
+    instance descriptor (shapes, noise levels, eps, delta, ...).
     """
 
     check: str
@@ -81,17 +82,6 @@ class BoundReport:
     holds: bool
     margin: float
     params: dict = field(default_factory=dict)
-
-    def as_row(self) -> dict:
-        row = {
-            "check": self.check,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "margin": self.margin,
-        }
-        row.update(self.params)
-        return row
 
 
 def _report(check: str, lhs, rhs, params: dict) -> BoundReport:
@@ -224,7 +214,7 @@ def guarantee_sample_sizes(rank: int, beta: float, kappa2: float,
 
 
 def draw_embedding_sketch(basis, s: int, rng: np.random.Generator, *,
-                          eps: float, max_draws: int = 50):
+                          eps: float):
     """Draw shrinked-leverage sketches until one is a verified
     (1 +/- eps) embedding for span(basis).
 
@@ -232,19 +222,19 @@ def draw_embedding_sketch(basis, s: int, rng: np.random.Generator, *,
     a caller that also needs the singular values takes them from the same
     SVD.  Returns (sketch, measured_distortion, n_draws).  The measured
     distortion, not the target eps, is what the deterministic bound
-    checkers plug into their constants.  Raises RuntimeError if max_draws
+    checkers plug into their constants.  Raises RuntimeError if MAX_DRAWS
     sketches all fail, which signals s is far too small for eps.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
     profile = shrinked_row_scores(basis)
-    for attempt in range(1, max_draws + 1):
+    for attempt in range(1, MAX_DRAWS + 1):
         sketch = build_sketch(profile, s, rng)
         distortion = embedding_distortion(sketch, basis)
         if distortion <= eps:
             return sketch, distortion, attempt
     raise RuntimeError(
-        f"no (1 +/- {eps}) embedding found in {max_draws} draws at s={s}; "
+        f"no (1 +/- {eps}) embedding found in {MAX_DRAWS} draws at s={s}; "
         "increase s or relax eps"
     )
 
@@ -283,8 +273,7 @@ def check_embedding_rate(n_trials: int, rng: np.random.Generator, *,
 def check_ridge_resolvent_bound(n_instances: int, rng: np.random.Generator, *,
                                 m: int = 25, d: int = 4,
                                 s: int | None = None,
-                                ridge_lambda: float = 1.0, eps: float = 0.5,
-                                max_draws: int = 50):
+                                ridge_lambda: float = 1.0, eps: float = 0.5):
     """Resolvent bound under a verified embedding.
 
     For full-column-rank A (m x d, d <= m), a verified (1 +/- eps)
@@ -330,7 +319,7 @@ def check_ridge_resolvent_bound(n_instances: int, rng: np.random.Generator, *,
         a = rng.standard_normal((m, d))
         basis, sv = orthonormal_basis(a, return_singular_values=True)
         sketch, measured, draws = draw_embedding_sketch(
-            basis, s, rng, eps=eps, max_draws=max_draws)
+            basis, s, rng, eps=eps)
         v = rng.standard_normal(d)
 
         sa = apply_sketch_transpose(sketch, a)
@@ -355,8 +344,7 @@ def check_ridge_resolvent_bound(n_instances: int, rng: np.random.Generator, *,
 def check_sketched_ridge_bound(n_instances: int, rng: np.random.Generator, *,
                                m: int = 30, d: int = 5, n_targets: int = 8,
                                s: int = 25, ridge_lambda: float = 1.0,
-                               eps: float = 0.5, sigma_e: float = 0.1,
-                               max_draws: int = 50):
+                               eps: float = 0.5, sigma_e: float = 0.1):
     """Deterministic reconstruction bound for sketched noisy ridge fits.
 
     Matrix form: B (m x d) full column rank, A (m x n_targets) arbitrary,
@@ -399,7 +387,7 @@ def check_sketched_ridge_bound(n_instances: int, rng: np.random.Generator, *,
         noise = sigma_e * rng.standard_normal((m, n_targets))
         q, sv = orthonormal_basis(design, return_singular_values=True)
         sketch, measured, draws = draw_embedding_sketch(
-            q, s, rng, eps=eps, max_draws=max_draws)
+            q, s, rng, eps=eps)
 
         projected = q @ (q.T @ targets)
         residual = targets - projected

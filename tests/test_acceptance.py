@@ -10,6 +10,10 @@ check_ridge_resolvent_bound's docstring; the unsquared form first stated
 is false, and tests/test_theory.py pins its counterexample.
 """
 
+import dataclasses
+import json
+import os
+import pathlib
 import time
 
 import numpy as np
@@ -32,6 +36,7 @@ from noisycur.harness import (
     load_dataset,
     run_sweep,
     summarize,
+    write_resolved_config,
 )
 from noisycur.theory import (
     check_embedding_rate,
@@ -71,8 +76,7 @@ def fig2_sweep():
     return cfg, rows, elapsed
 
 
-@pytest.fixture(scope="module")
-def jester_file(tmp_path_factory):
+def write_jokes_file(path):
     """Synthetic ratings file in the joke-corpus layout.
 
     510 users rate all 100 jokes, 10 leave gaps, so the complete-user
@@ -90,15 +94,14 @@ def jester_file(tmp_path_factory):
             row[holes] = 99.0
         n_rated = int((row != 99.0).sum())
         lines.append(",".join([str(n_rated)] + [f"{v:.2f}" for v in row]))
-    path = tmp_path_factory.mktemp("ratings") / "jokes.csv"
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
-@pytest.fixture(scope="module")
-def jester_sweep(jester_file):
-    raw = {
-        "dataset": {"kind": "jester", "path": str(jester_file),
+def jester_raw(path):
+    """The reduced ratings sweep's config over the file at path."""
+    return {
+        "dataset": {"kind": "jester", "path": str(path),
                     "row_limit": 500, "col_limit": 100, "rank": 5,
                     "name": "jokes-500x100"},
         "sweep": {"d_grid": [4, 8, 12], "n_trials": 3,
@@ -108,11 +111,46 @@ def jester_sweep(jester_file):
         "hyper": {"nna": {"delta_factors": {"lo": 1e-2, "hi": 1e2, "num": 8},
                           "cv_max_iters": 400, "max_iters": 1200}},
     }
-    cfg = config_from_dict(raw)
+
+
+@pytest.fixture(scope="module")
+def jester_file(tmp_path_factory):
+    return write_jokes_file(tmp_path_factory.mktemp("ratings") / "jokes.csv")
+
+
+@pytest.fixture(scope="module")
+def jester_sweep(jester_file):
+    cfg = config_from_dict(jester_raw(jester_file))
     t0 = time.perf_counter()
     rows = run_sweep(cfg)
     elapsed = time.perf_counter() - t0
     return cfg, rows, elapsed
+
+
+# Recorded sweep outputs: the --no-wall-time CSV and the resolved config of
+# the fig2 and reduced ratings sweeps, and the host they were made on.
+# tests/golden/regenerate.py rewrites them.
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def host_fingerprint() -> dict:
+    """What a sweep's last digits depend on besides the code: the numpy
+    version, the BLAS it was built with, and the BLAS thread count."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
+def write_golden(directory, name, cfg, rows):
+    """name.csv without wall times and name.config.yaml, the dataset path
+    cut to its file name so that the files do not depend on where the
+    input was written."""
+    emit_csv(rows, directory / f"{name}.csv", include_wall_time=False)
+    if cfg.dataset["path"]:
+        cfg = dataclasses.replace(cfg, dataset={
+            **cfg.dataset, "path": pathlib.Path(cfg.dataset["path"]).name})
+    write_resolved_config(cfg, directory / f"{name}.config.yaml")
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +360,28 @@ def test_criterion_9_reproducible_csv(fig2_sweep, tmp_path):
     _line("criterion 9", f"2-worker re-run byte-identical={identical}, "
           f"{elapsed:.0f}s")
     assert identical
+
+
+def test_sweeps_match_recorded_files(fig2_sweep, jester_sweep, tmp_path):
+    # the fixtures' rows, written as the sweep command writes them, against
+    # the files in tests/golden; the last digits follow the host's BLAS, so
+    # another host fails here by name rather than by digits
+    recorded = json.loads((GOLDEN / "host.json").read_text())
+    host = host_fingerprint()
+    assert host == recorded, (
+        f"tests/golden was recorded on {recorded}, this host is {host}; "
+        "regenerate it with tests/golden/regenerate.py from a commit "
+        "whose sweeps are known to be right")
+    differ = []
+    for name, (cfg, rows, _) in (("fig2", fig2_sweep),
+                                 ("jester", jester_sweep)):
+        write_golden(tmp_path, name, cfg, rows)
+        for suffix in (".csv", ".config.yaml"):
+            file = f"{name}{suffix}"
+            if (tmp_path / file).read_bytes() != (GOLDEN / file).read_bytes():
+                differ.append(file)
+    _line("recorded sweeps", f"differ: {differ or 'none'}")
+    assert not differ
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,9 @@ class TestNoisyCurPipeline:
         cfg = NoisyCurConfig(n_columns=4, n_rows=8, sigma_c=0.2,
                              sigma_e=0.05, ridge_lambda=0.5)
         rec = noisycur(a, cfg, np.random.default_rng(9))
-        prod = rec.c_tilde @ rec.coefficients
+        draw = draw_noisycur_samples(a, cfg, np.random.default_rng(9))
+        prod = draw.c_tilde @ ridge_solve(draw.design, draw.row_targets,
+                                          cfg.ridge_lambda)
         rel = np.linalg.norm(rec.estimate - prod) / max(
             np.linalg.norm(rec.estimate), 1e-30)
         assert rel < 1e-10
@@ -191,7 +193,6 @@ class TestNoisyCurPipeline:
         r1 = noisycur(a, cfg, np.random.default_rng(123))
         r2 = noisycur(a, cfg, np.random.default_rng(123))
         np.testing.assert_array_equal(r1.estimate, r2.estimate)
-        np.testing.assert_array_equal(r1.column_indices, r2.column_indices)
 
     def test_identity_sketch_recovers_pinv_coefficients(self):
         # with every row kept at unit scale and lambda -> 0 the sketched
@@ -268,8 +269,14 @@ class TestCollapsedSolve:
             # both solves see the rank deficiency and say so
             assert sum("rank-deficient" in str(w.message)
                        for w in caught) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            # the coefficients solve_from_draw multiplies c_tilde by
+            got = {"estimate": rec.estimate,
+                   "coefficients": ridge_solve(draw.design, draw.row_targets,
+                                               lam)}
         for key in ("estimate", "coefficients"):
-            diff = np.linalg.norm(getattr(rec, key) - ref[key])
+            diff = np.linalg.norm(got[key] - ref[key])
             assert diff <= 1e-10 * np.linalg.norm(ref[key]), key
         np.testing.assert_allclose(rec.diagnostics["sketch_distortion"],
                                    ref["sketch_distortion"], rtol=1e-10)

@@ -35,7 +35,12 @@ from noisycur.harness import (
     write_resolved_config,
 )
 from noisycur.baselines import PartialMatrix
-from noisycur.observe import InfeasiblePlanError, TwoCostModel, sample_entries
+from noisycur.observe import (
+    InfeasiblePlanError,
+    TwoCostModel,
+    sample_columns,
+    sample_entries,
+)
 from noisycur.rng import cell_seed
 
 TINY_RAW = {
@@ -489,6 +494,20 @@ class TestRunSingleCell:
         with pytest.raises(ConfigError):
             run_single_cell(self.a, self.model, "svd", 2, seed=0)
 
+    def test_refused_row_reports_the_oracles_books(self, monkeypatch):
+        # a driver refused after a paid read: the row says what was spent
+        def driver(oracle, d, rng, hyper):
+            oracle.entries(5, rng)
+            oracle.entries(10 * oracle.affordable(1.0), rng)
+
+        monkeypatch.setitem(harness._DRIVERS, "nna", driver)
+        row = run_single_cell(self.a, self.model, "nna", 2, seed=0,
+                              hyper={})
+        assert not row["feasible"]
+        assert row["spent"] == 5.0
+        assert row["leftover"] == self.model.budget - 5.0
+        assert "entry samples" in json.loads(row["hyperparams"])["infeasible"]
+
 
 def small_model(budget, m=12, entry_price=1.0):
     return TwoCostModel(entry_price=entry_price,
@@ -506,10 +525,7 @@ class TestOracle:
 
     def test_reads_charge_their_prices(self):
         oracle = self.oracle(100.0)
-        rng = np.random.default_rng(0)
-        c_tilde, _ = oracle.columns(2, rng)
-        r_rows = oracle.rows(1, rng)
-        obs = oracle.entries(oracle.affordable(1.0), rng)
+        c_tilde, r_rows, obs = oracle.curplus(3, np.random.default_rng(0))
         assert c_tilde.shape == (12, 2) and r_rows.shape == (1, 8)
         # a full row costs what a column does per entry: 2.4 / 12 * 8
         assert oracle.charges == [("column", 2, pytest.approx(2.4)),
@@ -517,6 +533,34 @@ class TestOracle:
                                          ("entry", 93, 1.0)]
         assert len(obs.entry_samples) == 93  # floor(100 - 4.8 - 1.6)
         assert oracle.leftover == pytest.approx(0.6)
+
+    def test_curplus_draws_in_plan_order(self):
+        # columns, then rows, then entries, each from the one generator
+        a = np.arange(96.0).reshape(12, 8)
+        model = small_model(100.0)
+        c_tilde, r_rows, obs = Oracle(a, model).curplus(
+            3, np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        c_ref, _ = sample_columns(a, 2, model.sigma_c, rng)
+        index = rng.integers(0, 12, size=1)
+        r_ref = a[index] + model.sigma_c * rng.standard_normal((1, 8))
+        obs_ref = sample_entries(a, 93, model.sigma_e, rng)
+        np.testing.assert_array_equal(c_tilde, c_ref)
+        np.testing.assert_array_equal(r_rows, r_ref)
+        np.testing.assert_array_equal(obs.entry_samples,
+                                      obs_ref.entry_samples)
+
+    def test_unaffordable_curplus_plan_draws_and_charges_nothing(self):
+        # the budget buys the plan's 2 columns (4.8) but not its 2 rows
+        # (3.2) as well
+        oracle = self.oracle(6.0)
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        with pytest.raises(InfeasiblePlanError, match="row"):
+            oracle.curplus(4, rng)
+        assert oracle.charges == []
+        assert oracle.spent == 0.0
+        assert rng.bit_generator.state == state
 
     def test_noisycur_pays_for_every_sketched_entry(self):
         oracle = self.oracle(100.0)
@@ -526,24 +570,26 @@ class TestOracle:
         assert oracle.charges == [("column", 3, pytest.approx(2.4)),
                                          ("entry", 88, 1.0)]
 
+    # read, (empty size, overspending size), the refused part; "columns"
+    # and "rows" are CUR+ plans refused for their columns and their rows
     READS = {
-        "columns": (lambda o, k, rng: o.columns(k, rng), 40),
-        "rows": (lambda o, k, rng: o.rows(k, rng), 60),
-        "entries": (lambda o, k, rng: o.entries(k, rng), 91),
-        "noisycur": (lambda o, k, rng: o.noisycur(k, rng), 40),
+        "columns": (lambda o, k, rng: o.curplus(k, rng), (0, 80), "column"),
+        "rows": (lambda o, k, rng: o.curplus(k, rng), (1, 48), "row"),
+        "entries": (lambda o, k, rng: o.entries(k, rng), (0, 91), "entry"),
+        "noisycur": (lambda o, k, rng: o.noisycur(k, rng), (0, 40), "column"),
     }
 
     @pytest.mark.parametrize("kind", sorted(READS))
     @pytest.mark.parametrize("too_many", [False, True],
                              ids=["empty", "overspend"])
     def test_refused_read_draws_and_charges_nothing(self, kind, too_many):
-        read, over = self.READS[kind]
+        read, sizes, refused = self.READS[kind]
         oracle = self.oracle(100.0)
         rng = np.random.default_rng(3)
         oracle.entries(10, rng)  # something already spent
         charges, state = list(oracle.charges), rng.bit_generator.state
-        with pytest.raises(InfeasiblePlanError):
-            read(oracle, over if too_many else 0, rng)
+        with pytest.raises(InfeasiblePlanError, match=f" {refused} "):
+            read(oracle, sizes[too_many], rng)
         assert oracle.charges == charges
         assert rng.bit_generator.state == state
 
@@ -574,14 +620,13 @@ class TestOracle:
     def test_spent_is_in_order_sum_of_charges(self):
         oracle = self.oracle(100.0)
         rng = np.random.default_rng(5)
-        oracle.columns(3, rng)
-        oracle.rows(2, rng)
+        oracle.entries(3, rng)
         oracle.noisycur(1, rng)
-        oracle.entries(oracle.affordable(1.0), rng)
+        oracle.curplus(2, rng)
         total = 0.0
         for _, count, unit_price in oracle.charges:
             total += count * unit_price
-        assert len(oracle.charges) == 5
+        assert len(oracle.charges) == 6
         assert oracle.spent == total
         assert oracle.leftover == 100.0 - total
         spent, charges = oracle.spent, list(oracle.charges)

@@ -37,14 +37,6 @@ class TestBoundReport:
         r = BoundReport(check="x", lhs=1.0, rhs=2.0, holds=True, margin=1.0)
         assert r.margin == r.rhs - r.lhs
 
-    def test_as_row_flattens_params(self):
-        r = BoundReport(check="x", lhs=0.0, rhs=1.0, holds=True, margin=1.0,
-                        params={"m": 10, "trial": 3})
-        row = r.as_row()
-        assert row["check"] == "x"
-        assert row["m"] == 10
-        assert row["trial"] == 3
-
     def test_rates(self):
         reps = [BoundReport("c", 0, 1, True, 1),
                 BoundReport("c", 2, 1, False, -1)]
@@ -117,8 +109,7 @@ class TestDrawEmbeddingSketch:
         rng = np.random.default_rng(1)
         a = rng.standard_normal((30, 5))
         with pytest.raises(RuntimeError, match="increase s"):
-            draw_embedding_sketch(orthonormal_basis(a), 2, rng, eps=0.1,
-                                  max_draws=5)
+            draw_embedding_sketch(orthonormal_basis(a), 2, rng, eps=0.1)
 
 
 class TestEmbeddingRate:
