@@ -481,9 +481,11 @@ def chen_observe(oracle, phase1_fraction: float, rng: np.random.Generator,
     weights = np.outer(row_lev, col_lev)
 
     n2 = oracle.affordable(entry_price)
-    obs = phase1
+    samples = phase1.entry_samples
     if n2 >= 1:
-        obs = phase1.merged(oracle.entries(n2, rng, weights=weights))
+        phase2 = oracle.entries(n2, rng, weights=weights)
+        samples = np.concatenate([samples, phase2.entry_samples])
+    obs = ObservationSet(shape=phase1.shape, entry_samples=samples)
     info = {
         "phase1_count": n1,
         "phase2_count": len(obs.entry_samples) - n1,

@@ -57,16 +57,16 @@ def truncated_svd_approx(a, rank: int) -> np.ndarray:
 
 def synthetic_lowrank(n_rows: int, n_cols: int, rank: int,
                       mean: float = 5.0, std: float = 1.0,
-                      rng: np.random.Generator | None = None) -> np.ndarray:
+                      *, rng: np.random.Generator) -> np.ndarray:
     """Best rank-r approximation of an i.i.d. N(mean, std^2) matrix.
 
-    Bit-reproducible for a given generator state.
+    Bit-reproducible for a given generator state; like every randomized
+    stage, it takes an explicit Generator.
     """
     if n_rows < 1 or n_cols < 1:
         raise ValueError("matrix dimensions must be positive")
     if std < 0:
         raise ValueError("std must be nonnegative")
-    rng = rng or np.random.default_rng()
     dense = mean + std * rng.standard_normal((n_rows, n_cols))
     return truncated_svd_approx(dense, rank)
 

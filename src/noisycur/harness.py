@@ -385,15 +385,19 @@ def write_resolved_config(config: ExperimentConfig, path) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """The 2-D matrix stored in a .npy file.  A file that cannot be opened
-    or is not a .npy array is a ConfigError."""
+    """The 2-D matrix stored in a .npy file.  A file that cannot be opened,
+    is not a .npy array or does not hold a finite 2-D matrix is a
+    ConfigError."""
     try:
         a = np.load(path)
     except OSError as exc:
         raise ConfigError(f"cannot read matrix {path}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{path} is not a .npy matrix: {exc}") from None
-    return as_matrix(a, str(path))
+    try:
+        return as_matrix(a, str(path))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_dataset(config: ExperimentConfig):
@@ -403,7 +407,7 @@ def load_dataset(config: ExperimentConfig):
     for movielens, completed to a dense matrix first; the configured rank
     sizes the budget and is not a claim about the data itself.  Every
     kind is then cut to its first row_limit rows and col_limit columns.
-    A dataset file that cannot be opened is a ConfigError.
+    A dataset file that cannot be opened or parsed is a ConfigError.
     """
     ds = config.dataset
     kind = ds["kind"]
@@ -421,7 +425,7 @@ def load_dataset(config: ExperimentConfig):
         reader = load_jester if kind == "jester" else load_movielens_100k
         try:
             a = reader(ds["path"])
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(
                 f"cannot read dataset {ds['path']}: {exc}") from None
         if kind == "movielens":

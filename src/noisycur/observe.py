@@ -99,16 +99,6 @@ class ObservationSet:
             k = int(np.argmax(bad))
             raise ValueError(f"entry index ({rows[k]}, {cols[k]}) out of range")
 
-    def merged(self, other: "ObservationSet") -> "ObservationSet":
-        """Both records in one, this one's samples first."""
-        if other.shape != self.shape:
-            raise ValueError("cannot merge observation sets of different shapes")
-        return ObservationSet(
-            shape=self.shape,
-            entry_samples=np.concatenate([self.entry_samples,
-                                          other.entry_samples]),
-        )
-
 
 def sample_columns(a, d: int, sigma_c: float, rng: np.random.Generator):
     """d columns of ``a`` drawn uniformly with replacement, read through noise.

@@ -39,7 +39,6 @@ __all__ = [
     "HypothesisError",
     "BoundReport",
     "success_rate",
-    "failure_rate",
     "rate_verdict",
     "ridge_contraction_factor",
     "ridge_resolvent_constant",
@@ -105,16 +104,12 @@ def success_rate(reports) -> float:
     return sum(1 for r in reports if r.holds) / len(reports)
 
 
-def failure_rate(reports) -> float:
-    return 1.0 - success_rate(reports)
-
-
 def rate_verdict(reports) -> tuple:
     """(observed, allowed, ok) for n reports: their failure rate, the
     stated rate p (param fail_prob) plus three binomial standard errors
     3 sqrt(p (1 - p) / n), and observed <= allowed up to 1e-12."""
     reports = list(reports)
-    observed = failure_rate(reports)
+    observed = 1.0 - success_rate(reports)
     stated = float(reports[0].params.get("fail_prob", 0.0))
     allowed = stated + 3 * math.sqrt(stated * (1 - stated) / len(reports))
     return observed, allowed, observed <= allowed + 1e-12
@@ -347,29 +342,27 @@ def check_sketched_ridge_bound(n_instances: int, rng: np.random.Generator, *,
                                eps: float = 0.5, sigma_e: float = 0.1):
     """Deterministic reconstruction bound for sketched noisy ridge fits.
 
-    Matrix form: B (m x d) full column rank, A (m x n_targets) arbitrary,
-    observed A + E, S a verified embedding for B with measured distortion
-    eps, and X the sketched ridge fit
+    B (m x d) full column rank, targets T (m x k) arbitrary, observed
+    T + E, S a verified embedding for B with measured distortion eps, a
+    proximal point X (d x k), and Z the sketched ridge fit pulled towards X
 
-        X = argmin_Z ||S^T (A + E - B Z)||_F^2 + lam ||Z||_F^2.
+        Z = argmin_Z ||S^T (T + E - B Z)||_F^2 + lam ||Z - X||_F^2
+          = ((S^T B)^T S^T B + lam I)^{-1} ((S^T B)^T S^T (T + E) + lam X).
 
     Then with gamma = ridge_contraction_factor(lam, sigma_d(B)^2, eps) and
     P the orthogonal projector onto span(B):
 
-        ||A - B X||_F^2 <= ||(I-P) A||_F^2 + gamma ||P A||_F^2
+        ||T - B Z||_F^2 <= ||(I-P) T||_F^2 + gamma ||B X - P T||_F^2
                            + 4/(1-eps) ||S^T E||_F^2
-                           + 4/(1-eps) ||S^T (I-P) A||_F^2.
+                           + 4/(1-eps) ||S^T (I-P) T||_F^2.
 
-    Vector form, checked on the same B and sketch with a nonzero proximal
-    point x: for f(z) = ||B z - b||^2 and
-
-        z* = (B^T S S^T B + lam I)^{-1} (B^T S S^T (b + e) + lam x),
-
-        f(z*) <= f(B^+ b) + gamma (f(x) - f(B^+ b))
-                 + 4/(1-eps) ||S^T e||^2 + 4/(1-eps) ||S^T (I-P) b||^2.
-
-    Emits two reports per instance (sketched-ridge-matrix and
-    sketched-ridge-vector); both must hold on every accepted instance.
+    Each instance is checked twice on the same B and sketch: the matrix
+    form (sketched-ridge-matrix) with X = 0 on all n_targets columns, and
+    the vector form (sketched-ridge-vector) on the first column with a
+    random proximal point x.  For f(z) = ||B z - b||^2, Pythagoras gives
+    f(x) - f(B^+ b) = ||B x - P b||^2 and f(B^+ b) = ||(I-P) b||^2, so the
+    vector form is the same inequality.  Both must hold on every accepted
+    instance.
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")
@@ -388,52 +381,42 @@ def check_sketched_ridge_bound(n_instances: int, rng: np.random.Generator, *,
         q, sv = orthonormal_basis(design, return_singular_values=True)
         sketch, measured, draws = draw_embedding_sketch(
             q, s, rng, eps=eps)
+        # drawn after the sketch, pulled away from the least-squares fit
+        prox = rng.standard_normal((d, 1))
 
-        projected = q @ (q.T @ targets)
-        residual = targets - projected
         sigma_d_sq = float(sv[-1] ** 2)
         gamma = ridge_contraction_factor(ridge_lambda, sigma_d_sq, measured)
         noise_gain = 4.0 / (1.0 - measured)
-
         sb = apply_sketch_transpose(sketch, design)
-        gram = sb.T @ sb
-        coeffs = np.linalg.solve(
-            gram + ridge_lambda * eye,
-            sb.T @ apply_sketch_transpose(sketch, targets + noise))
-        lhs = float(np.sum((targets - design @ coeffs) ** 2))
-        rhs = (float(np.sum(residual ** 2))
-               + gamma * float(np.sum(projected ** 2))
-               + noise_gain * float(np.sum(
-                   apply_sketch_transpose(sketch, noise) ** 2))
-               + noise_gain * float(np.sum(
-                   apply_sketch_transpose(sketch, residual) ** 2)))
-        shared = {"m": m, "d": d, "n_targets": n_targets, "s": s,
+        regularized = sb.T @ sb + ridge_lambda * eye
+
+        def sides(t, e, x):
+            """(lhs, rhs) on targets t, noise e and proximal point x."""
+            fit = np.linalg.solve(
+                regularized,
+                sb.T @ apply_sketch_transpose(sketch, t + e)
+                + ridge_lambda * x)
+            projected = q @ (q.T @ t)
+            residual = t - projected
+            lhs = float(np.sum((t - design @ fit) ** 2))
+            rhs = (float(np.sum(residual ** 2))
+                   + gamma * float(np.sum((design @ x - projected) ** 2))
+                   + noise_gain * float(np.sum(
+                       apply_sketch_transpose(sketch, e) ** 2))
+                   + noise_gain * float(np.sum(
+                       apply_sketch_transpose(sketch, residual) ** 2)))
+            return lhs, rhs
+
+        params = {"m": m, "d": d, "n_targets": n_targets, "s": s,
                   "ridge_lambda": ridge_lambda, "eps": eps,
                   "eps_measured": measured, "sigma_e": sigma_e,
                   "gamma": gamma, "sketch_draws": draws, "trial": trial}
-        reports.append(_report("sketched-ridge-matrix", lhs, rhs, dict(shared)))
-
-        # Vector form on the first target column, with a proximal point
-        # pulled away from the least-squares solution.
-        b = targets[:, 0]
-        e = noise[:, 0]
-        prox = rng.standard_normal(d)
-        z_star = np.linalg.solve(
-            gram + ridge_lambda * eye,
-            sb.T @ apply_sketch_transpose(
-                sketch, (b + e)[:, None]).ravel() + ridge_lambda * prox)
-        z_opt = np.linalg.lstsq(design, b, rcond=None)[0]
-        f_opt = float(np.sum((design @ z_opt - b) ** 2))
-        f_prox = float(np.sum((design @ prox - b) ** 2))
-        orth_b = b - q @ (q.T @ b)
-        lhs_v = float(np.sum((design @ z_star - b) ** 2))
-        rhs_v = (f_opt + gamma * (f_prox - f_opt)
-                 + noise_gain * float(np.sum(
-                     apply_sketch_transpose(sketch, e[:, None]) ** 2))
-                 + noise_gain * float(np.sum(
-                     apply_sketch_transpose(sketch, orth_b[:, None]) ** 2)))
-        reports.append(_report("sketched-ridge-vector", lhs_v, rhs_v,
-                               dict(shared)))
+        reports.append(_report(
+            "sketched-ridge-matrix",
+            *sides(targets, noise, np.zeros((d, n_targets))), dict(params)))
+        reports.append(_report(
+            "sketched-ridge-vector",
+            *sides(targets[:, :1], noise[:, :1], prox), dict(params)))
     return reports
 
 
@@ -586,25 +569,25 @@ def _upper_median(values: np.ndarray) -> float:
 
 def check_recovery_guarantee(a, n_trials: int, rng: np.random.Generator, *,
                              sigma_c: float, sigma_e: float,
-                             ridge_lambda: float, eps: float, delta: float,
-                             n_columns: int | None = None,
-                             n_rows: int | None = None):
+                             ridge_lambda: float, eps: float, delta: float):
     """End-to-end additive error bound for the full estimator.
 
     Measures the hypotheses on the given matrix: exact rank r, column
     incoherence beta and condition number kappa2 over the nonzero spectrum,
     all from one thin SVD, and the denseness constant c (largest value with
-    at least half the entries at least that large in magnitude).  Sample counts default to the
-    guaranteed minimums for (eps, delta); explicit smaller counts are
-    rejected.  Each trial runs the estimator and checks
+    at least half the entries at least that large in magnitude).  The
+    estimator runs at the sample counts (d, s) that
+    guarantee_sample_sizes gives for them and (eps, delta).  Each trial
+    runs it and checks
 
         ||A - Ahat||_F^2 <= (gamma + eps + 40 eps/(1-eps)) ||A||_F^2
                             + 12 eps (sigma_e^2/sigma_c^2) d sigma_r(A)^2
 
     where gamma uses the guaranteed lower bound
     (1/2 sqrt(m-r) - sqrt(d))^2 sigma_c^2 for the bottom singular value of
-    the noisy column sample.  The stated success probability rides along
-    in params as prob_floor.
+    the noisy column sample.  Entry noise without column noise is
+    rejected: its noise term would be infinite, and every trial would hold.
+    The stated success probability rides along in params as prob_floor.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -614,6 +597,10 @@ def check_recovery_guarantee(a, n_trials: int, rng: np.random.Generator, *,
         raise HypothesisError("delta must be in (0, 1)")
     if sigma_c < 0 or sigma_e < 0:
         raise HypothesisError("noise levels must be nonnegative")
+    if sigma_c == 0 < sigma_e:
+        raise HypothesisError(
+            "sigma_e > 0 needs sigma_c > 0: the bound's noise term "
+            "sigma_e^2 / sigma_c^2 would be infinite")
     if ridge_lambda < 0:
         raise HypothesisError("ridge_lambda must be nonnegative")
 
@@ -632,26 +619,13 @@ def check_recovery_guarantee(a, n_trials: int, rng: np.random.Generator, *,
     sigma_r_sq = float(sv[rank - 1] ** 2)
     norm_sq = float(np.sum(sv ** 2))
 
-    d_min, s_min = guarantee_sample_sizes(
+    d, s = guarantee_sample_sizes(
         rank, beta, kappa2, dense_c, sigma_c, eps, delta)
-    d = d_min if n_columns is None else int(n_columns)
-    s = s_min if n_rows is None else int(n_rows)
-    if d < d_min:
-        raise HypothesisError(
-            f"column sample count {d} below the guaranteed minimum {d_min}")
-    if s < s_min:
-        raise HypothesisError(
-            f"row sample count {s} below the guaranteed minimum {s_min}")
 
     gap = _sigma_gap(m, rank, d)
     gamma = ridge_contraction_factor(
         ridge_lambda, gap * gap * sigma_c * sigma_c, eps)
-    if sigma_e == 0:
-        noise_ratio = 0.0
-    elif sigma_c == 0:
-        noise_ratio = math.inf
-    else:
-        noise_ratio = (sigma_e / sigma_c) ** 2
+    noise_ratio = (sigma_e / sigma_c) ** 2 if sigma_e else 0.0
     rhs = ((gamma + eps + 40 * eps / (1 - eps)) * norm_sq
            + 12 * eps * noise_ratio * d * sigma_r_sq)
     floor = recovery_probability_floor(m, n, rank, s, delta)
@@ -660,8 +634,7 @@ def check_recovery_guarantee(a, n_trials: int, rng: np.random.Generator, *,
               "sigma_c": sigma_c, "sigma_e": sigma_e,
               "ridge_lambda": ridge_lambda, "eps": eps, "delta": delta,
               "dense_c": dense_c, "beta": beta, "kappa2": kappa2,
-              "gamma": gamma, "sigma_gap": gap, "prob_floor": floor,
-              "d_min": d_min, "s_min": s_min}
+              "gamma": gamma, "sigma_gap": gap, "prob_floor": floor}
     cfg = NoisyCurConfig(n_columns=d, n_rows=s, sigma_c=sigma_c,
                          sigma_e=sigma_e, ridge_lambda=ridge_lambda)
     reports = []

@@ -2,8 +2,8 @@
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-runs the fig2 and reduced ratings sweeps of tests/test_acceptance.py
-with that module's own configs and writes what
+runs the fig2, four-algorithm and reduced ratings sweeps of
+tests/test_acceptance.py with that module's own configs and writes what
 test_sweeps_match_recorded_files compares byte for byte: each sweep's
 CSV without wall times and its resolved config, and host.json, the
 numpy, BLAS and BLAS thread count they were made with.  Regenerate only
@@ -32,6 +32,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         jokes = acceptance.write_jokes_file(pathlib.Path(tmp) / "jokes.csv")
         for name, raw in (("fig2", acceptance.FIG2_RAW),
+                          ("all_algorithms", acceptance.ALL_ALGORITHMS_RAW),
                           ("jester", acceptance.jester_raw(jokes))):
             cfg = config_from_dict(raw)
             acceptance.write_golden(HERE, name, cfg, run_sweep(cfg))

@@ -56,6 +56,16 @@ pytestmark = pytest.mark.slow
 # algorithm pair and the seed are pinned here.
 FIG2_RAW = {"sweep": {"algorithms": ["ncur", "nna"], "master_seed": 20}}
 
+# The same default config with all four algorithms, one trial each, and
+# the ADMM baselines on a 5-point delta-factor grid: the only recorded
+# sweep that holds curplus and chen rows.
+ALL_ALGORITHMS_RAW = {
+    "sweep": {"algorithms": ["ncur", "curplus", "nna", "chen"],
+              "n_trials": 1, "master_seed": 0},
+    "hyper": {alg: {"delta_factors": {"lo": 1e-2, "hi": 1e2, "num": 5}}
+              for alg in ("nna", "chen")},
+}
+
 N_JOKES = 100
 
 
@@ -74,6 +84,12 @@ def fig2_sweep():
     rows = run_sweep(cfg)
     elapsed = time.perf_counter() - t0
     return cfg, rows, elapsed
+
+
+@pytest.fixture(scope="module")
+def all_algorithms_sweep():
+    cfg = config_from_dict(ALL_ALGORITHMS_RAW)
+    return cfg, run_sweep(cfg)
 
 
 def write_jokes_file(path):
@@ -128,7 +144,8 @@ def jester_sweep(jester_file):
 
 
 # Recorded sweep outputs: the --no-wall-time CSV and the resolved config of
-# the fig2 and reduced ratings sweeps, and the host they were made on.
+# the fig2, four-algorithm and reduced ratings sweeps, and the host they
+# were made on.
 # tests/golden/regenerate.py rewrites them.
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -362,7 +379,8 @@ def test_criterion_9_reproducible_csv(fig2_sweep, tmp_path):
     assert identical
 
 
-def test_sweeps_match_recorded_files(fig2_sweep, jester_sweep, tmp_path):
+def test_sweeps_match_recorded_files(fig2_sweep, all_algorithms_sweep,
+                                     jester_sweep, tmp_path):
     # the fixtures' rows, written as the sweep command writes them, against
     # the files in tests/golden; the last digits follow the host's BLAS, so
     # another host fails here by name rather than by digits
@@ -373,8 +391,9 @@ def test_sweeps_match_recorded_files(fig2_sweep, jester_sweep, tmp_path):
         "regenerate it with tests/golden/regenerate.py from a commit "
         "whose sweeps are known to be right")
     differ = []
-    for name, (cfg, rows, _) in (("fig2", fig2_sweep),
-                                 ("jester", jester_sweep)):
+    for name, (cfg, rows, *_) in (("fig2", fig2_sweep),
+                                   ("all_algorithms", all_algorithms_sweep),
+                                   ("jester", jester_sweep)):
         write_golden(tmp_path, name, cfg, rows)
         for suffix in (".csv", ".config.yaml"):
             file = f"{name}{suffix}"

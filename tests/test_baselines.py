@@ -664,6 +664,17 @@ class TestChenObserve:
         assert info["phase2_count"] == 50
         assert len(obs.entry_samples) == 100
 
+    def test_phase1_samples_come_first(self):
+        # the merged record starts with exactly the samples a lone phase-1
+        # read draws from the same seed, phase 2's follow
+        a = synthetic_lowrank(12, 10, 2, rng=np.random.default_rng(0))
+        obs, info = chen_observe(self.oracle(a, 100.0), 0.5,
+                                 np.random.default_rng(1), rank=2)
+        n1 = info["phase1_count"]
+        lone = self.oracle(a, 100.0).entries(n1, np.random.default_rng(1))
+        assert np.array_equal(obs.entry_samples[:n1], lone.entry_samples)
+        assert len(obs.entry_samples) == n1 + info["phase2_count"]
+
     def test_budget_respected_odd_fraction(self):
         a = synthetic_lowrank(12, 10, 2, rng=np.random.default_rng(0))
         obs, info = chen_observe(self.oracle(a, 97.0), 0.35,

@@ -156,6 +156,32 @@ class TestSweep:
         assert code == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_malformed_ratings_file_exits_one(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setattr(harness, "run_single_cell", no_cells)
+        bad = tmp_path / "jokes.csv"
+        bad.write_text("2,1.0,2.0\n")
+        raw = {**TINY_SWEEP, "dataset": {
+            "kind": "jester", "path": str(bad), "rank": 2}}
+        code = main(["sweep", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"cannot read dataset {bad}: line 1: expected" in err
+
+    def test_one_dimensional_npy_exits_one(self, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr(harness, "run_single_cell", no_cells)
+        bad = tmp_path / "bad.npy"
+        np.save(bad, np.arange(3.0))
+        raw = {**TINY_SWEEP, "dataset": {
+            "kind": "file", "path": str(bad), "rank": 2}}
+        code = main(["sweep", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"config error: {bad} must be 2-D" in err
+
     def test_null_sweep_section_takes_defaults(self, tmp_path):
         cfg = write_config(tmp_path, {**TINY_SWEEP, "sweep": None})
         out = tmp_path / "o.csv"
@@ -288,6 +314,12 @@ class TestInfo:
 
     def test_missing_data_file(self, tmp_path):
         assert main(["info", "--data", str(tmp_path / "none.npy")]) == 1
+
+    def test_one_dimensional_data_file_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.npy"
+        np.save(bad, np.arange(3.0))
+        assert main(["info", "--data", str(bad)]) == 1
+        assert f"config error: {bad} must be 2-D" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rank", [[], ["--rank", "2"]],
                              ids=["numerical-rank", "given-rank"])

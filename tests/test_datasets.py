@@ -56,12 +56,13 @@ class TestSyntheticLowrank:
         np.testing.assert_array_equal(a, b)
 
     def test_validation(self):
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            synthetic_lowrank(4, 4, 5)
+            synthetic_lowrank(4, 4, 5, rng=rng)
         with pytest.raises(ValueError):
-            synthetic_lowrank(0, 4, 1)
+            synthetic_lowrank(0, 4, 1, rng=rng)
         with pytest.raises(ValueError):
-            synthetic_lowrank(4, 4, 2, std=-1.0)
+            synthetic_lowrank(4, 4, 2, std=-1.0, rng=rng)
 
 
 class TestTruncatedSvd:

@@ -220,19 +220,6 @@ class TestObservationSet:
         assert [tuple(r) for r in obs.entry_samples] == [(0, 1, 2.5)]
         assert len(ObservationSet(shape=(3, 3)).entry_samples) == 0
 
-    def test_merged(self):
-        a = ObservationSet(shape=(3, 3),
-                           entry_samples=[(2, 2, 1.0), (0, 0, 2.0)])
-        b = ObservationSet(shape=(3, 3),
-                           entry_samples=[(1, 0, 3.0), (0, 0, 4.0)])
-        both = a.merged(b)
-        # phase order: every sample of a, then every sample of b
-        assert [tuple(r) for r in both.entry_samples] == \
-            [(2, 2, 1.0), (0, 0, 2.0), (1, 0, 3.0), (0, 0, 4.0)]
-        assert len(a.entry_samples) == 2
-        with pytest.raises(ValueError):
-            a.merged(ObservationSet(shape=(2, 2)))
-
 
 class TestSnr:
     def test_all_ones(self):

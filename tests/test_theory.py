@@ -22,7 +22,6 @@ from noisycur.theory import (
     check_span_capture_bound,
     draw_embedding_sketch,
     embedding_sketch_size,
-    failure_rate,
     guarantee_sample_sizes,
     rate_verdict,
     recovery_probability_floor,
@@ -41,7 +40,6 @@ class TestBoundReport:
         reps = [BoundReport("c", 0, 1, True, 1),
                 BoundReport("c", 2, 1, False, -1)]
         assert success_rate(reps) == 0.5
-        assert failure_rate(reps) == 0.5
         with pytest.raises(ValueError):
             success_rate([])
 
@@ -271,6 +269,42 @@ class TestSketchedRidgeBound:
         kinds = {r.check for r in reports}
         assert kinds == {"sketched-ridge-matrix", "sketched-ridge-vector"}
 
+    def test_vector_form_matches_least_squares_reference(self):
+        # the vector form as first written, f(z*) against
+        # f_opt + gamma (f(x) - f_opt) with f_opt from lstsq, replayed on
+        # each instance's draws in the checker's order
+        m, d, k, s, lam, eps, sigma_e = 30, 5, 8, 25, 1.0, 0.5, 0.1
+        reports = check_sketched_ridge_bound(20, np.random.default_rng(12))
+        vector = [r for r in reports if r.check == "sketched-ridge-vector"]
+        rng = np.random.default_rng(12)
+        for report in vector:
+            design = rng.standard_normal((m, d))
+            b = rng.standard_normal((m, k))[:, 0]
+            e = sigma_e * rng.standard_normal((m, k))[:, 0]
+            q, sv = orthonormal_basis(design, return_singular_values=True)
+            sketch, measured, _ = draw_embedding_sketch(q, s, rng, eps=eps)
+            prox = rng.standard_normal(d)
+            sb = apply_sketch_transpose(sketch, design)
+            z_star = np.linalg.solve(
+                sb.T @ sb + lam * np.eye(d),
+                sb.T @ apply_sketch_transpose(sketch, (b + e)[:, None]).ravel()
+                + lam * prox)
+            z_opt = np.linalg.lstsq(design, b, rcond=None)[0]
+            f_opt = np.sum((design @ z_opt - b) ** 2)
+            f_prox = np.sum((design @ prox - b) ** 2)
+            orth_b = b - q @ (q.T @ b)
+            gamma = ridge_contraction_factor(lam, sv[-1] ** 2, measured)
+            gain = 4.0 / (1.0 - measured)
+            lhs = np.sum((design @ z_star - b) ** 2)
+            rhs = (f_opt + gamma * (f_prox - f_opt)
+                   + gain * np.sum(
+                       apply_sketch_transpose(sketch, e[:, None]) ** 2)
+                   + gain * np.sum(
+                       apply_sketch_transpose(sketch, orth_b[:, None]) ** 2))
+            assert report.params["gamma"] == gamma
+            assert report.lhs == pytest.approx(lhs, rel=1e-12, abs=0)
+            assert report.rhs == pytest.approx(rhs, rel=1e-12, abs=0)
+
     def test_zero_noise_still_holds(self):
         reports = check_sketched_ridge_bound(
             10, np.random.default_rng(4), sigma_e=0.0)
@@ -365,13 +399,15 @@ class TestRecoveryGuarantee:
             assert r.rhs == pytest.approx(expected_rhs, rel=1e-12)
         assert reports[0].params["prob_floor"] <= 0.9
 
-    def test_small_d_rejected(self):
+    def test_entry_noise_without_column_noise_rejected(self):
+        # sigma_c = 0 < sigma_e makes the noise term, and so the rhs,
+        # infinite: every trial would hold
         from noisycur.datasets import synthetic_lowrank
-        a = synthetic_lowrank(30, 20, 2, rng=np.random.default_rng(0))
-        with pytest.raises(HypothesisError, match="below the guaranteed"):
+        a = synthetic_lowrank(80, 60, 4, rng=np.random.default_rng(42))
+        with pytest.raises(HypothesisError, match="needs sigma_c > 0"):
             check_recovery_guarantee(
-                a, 1, np.random.default_rng(1), sigma_c=0.0, sigma_e=0.0,
-                ridge_lambda=1e-10, eps=0.9, delta=0.49, n_columns=1)
+                a, 1, np.random.default_rng(0), sigma_c=0.0, sigma_e=0.1,
+                ridge_lambda=1.0, eps=0.5, delta=0.1)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(HypothesisError):
@@ -387,13 +423,10 @@ class TestRecoveryGuarantee:
             a, 1, np.random.default_rng(5), sigma_c=0.0, sigma_e=0.0,
             ridge_lambda=1e-8, eps=0.9, delta=0.49)
         p = reports[0].params
-        for key in ("beta", "kappa2", "dense_c", "gamma", "prob_floor",
-                    "d_min", "s_min"):
+        for key in ("beta", "kappa2", "dense_c", "gamma", "prob_floor"):
             assert key in p
-        d_min, s_min = guarantee_sample_sizes(
+        assert (p["d"], p["s"]) == guarantee_sample_sizes(
             p["r"], p["beta"], p["kappa2"], p["dense_c"], 0.0, 0.9, 0.49)
-        assert p["d_min"] == d_min
-        assert p["s_min"] == s_min
 
 
 class TestOneSvdPerInput:
@@ -417,8 +450,13 @@ class TestOneSvdPerInput:
         check_ridge_resolvent_bound(5, np.random.default_rng(0))
         assert svd_shapes == [(25, 4)] * 5
 
-    def test_sketched_ridge(self, svd_shapes):
-        # the vector form's lstsq reference runs LAPACK's own solver
+    def test_sketched_ridge(self, svd_shapes, monkeypatch):
+        # both forms come from the design's one basis: no second
+        # decomposition by a least-squares solver
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
         check_sketched_ridge_bound(5, np.random.default_rng(0))
         assert svd_shapes == [(30, 5)] * 5
 
