@@ -187,21 +187,21 @@ def _duality_gap(w, u, rho, obs: PartialMatrix, delta: float) -> float:
 
 
 class _Anderson:
-    """Type-II Anderson extrapolation, memory m, for a fixed-point map T.
+    """Type-II Anderson extrapolation, memory 5, for a fixed-point map T.
 
     Holds the residuals g_i = T(x_i) - x_i and images T(x_i) of the last
-    m + 1 pairs in ring buffers, and their Gram H_ij = <g_i, g_j>, one row
+    6 pairs in ring buffers, and their Gram H_ij = <g_i, g_j>, one row
     updated per pair.  The extrapolate is sum_i alpha_i T(x_i), with alpha
     minimising ||sum_i alpha_i g_i|| subject to sum_i alpha_i = 1, that is
-    the newest pair corrected along m differences (Walker & Ni 2011; Fu,
+    the newest pair corrected along 5 differences (Walker & Ni 2011; Fu,
     Zhang & Boyd 2020).  alpha is proportional to (H + eta I)^-1 1, with
     the Tikhonov term eta = 1e-10 tr H.
     """
 
-    def __init__(self, size: int, memory: int = 5):
-        self.residuals = np.empty((memory + 1, size))
-        self.images = np.empty((memory + 1, size))
-        self.gram = np.empty((memory + 1, memory + 1))
+    def __init__(self, size: int):
+        self.residuals = np.empty((6, size))
+        self.images = np.empty((6, size))
+        self.gram = np.empty((6, 6))
         self.count = 0  # pairs held, in slots 0 .. count - 1
         self.slot = 0  # the slot the next pair overwrites
 

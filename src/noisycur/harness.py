@@ -24,7 +24,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
@@ -278,8 +278,8 @@ class ExperimentConfig:
     n_trials: int
     algorithms: tuple
     master_seed: int
-    workers: int = 1
-    hyper: dict = field(default_factory=dict)
+    workers: int
+    hyper: dict
 
     def to_dict(self) -> dict:
         """The resolved config in SCHEMA's layout, tuples as lists."""
@@ -386,14 +386,19 @@ def write_resolved_config(config: ExperimentConfig, path) -> None:
 
 def read_matrix(path) -> np.ndarray:
     """The 2-D matrix stored in a .npy file.  A file that cannot be opened,
-    is not a .npy array or does not hold a finite 2-D matrix is a
-    ConfigError."""
+    is not a .npy array (an .npz archive is not) or does not hold a finite
+    2-D matrix of real numbers is a ConfigError naming the file."""
     try:
         a = np.load(path)
     except OSError as exc:
         raise ConfigError(f"cannot read matrix {path}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{path} is not a .npy matrix: {exc}") from None
+    if not isinstance(a, np.ndarray):
+        a.close()
+        raise ConfigError(f"{path} is an .npz archive, not a .npy matrix")
+    if a.dtype.kind not in "biuf":
+        raise ConfigError(f"{path} holds {a.dtype} entries, not real numbers")
     try:
         return as_matrix(a, str(path))
     except ValueError as exc:

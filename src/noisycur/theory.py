@@ -9,10 +9,12 @@ the code, not bad luck.  The rest are probabilistic; their reports carry
 the stated failure probability in params so callers can compare empirical
 failure rates against it.
 
-Instances that violate a precondition are rejected up front with the
-failed hypothesis named, never silently run outside the guarantee.  Each
-checker decomposes each matrix it draws or is given once: rank, spectrum,
-basis and leverage all come from one SVD of that matrix.
+Each battery rejects an instance that violates a precondition up front,
+naming the failed hypothesis, except check_recovery_guarantee: at
+acceptance criterion 5 its sizes give d = 457 > m = 80 and a sigma gap of
+-17.02, outside its hypotheses, and it runs anyway (ROADMAP.md item 4).
+Each checker decomposes each matrix it draws or is given once: rank,
+spectrum, basis and leverage all come from one SVD of that matrix.
 """
 
 from __future__ import annotations
@@ -119,20 +121,18 @@ def ridge_contraction_factor(ridge_lambda: float, sigma_sq: float,
                              eps: float) -> float:
     """Regularization penalty gamma in the sketched ridge bound.
 
-    gamma = 2 (1+eps)/(1-eps) * [lam / ((1+eps) sigma_sq + lam)]^2 where
-    sigma_sq is the squared smallest singular value of the regression
-    design (or a guaranteed lower bound on it).  Vanishes with the ridge
-    weight; approaches 2(1+eps)/(1-eps) when the ridge weight dominates
-    the spectrum.
+    gamma = 2 lam^2 ridge_resolvent_constant(lam, sigma_sq, eps)
+          = 2 [(1+eps)/(1-eps) * lam / ((1+eps) sigma_sq + lam)]^2
+    where sigma_sq is the squared smallest singular value of the
+    regression design (or a guaranteed lower bound on it);
+    check_sketched_ridge_bound's docstring has the proof.  Vanishes with
+    the ridge weight; approaches 2 ((1+eps)/(1-eps))^2 when the ridge
+    weight dominates the spectrum.
     """
-    if not 0 <= eps < 1:
-        raise ValueError("eps must be in [0, 1)")
-    if ridge_lambda < 0 or sigma_sq < 0:
-        raise ValueError("ridge_lambda and sigma_sq must be nonnegative")
-    if ridge_lambda == 0:
-        return 0.0
-    ratio = ridge_lambda / ((1 + eps) * sigma_sq + ridge_lambda)
-    return 2 * (1 + eps) / (1 - eps) * ratio * ratio
+    if ridge_lambda == 0 and sigma_sq >= 0 and 0 <= eps < 1:
+        return 0.0  # ridge_resolvent_constant validates every other input
+    return (2 * ridge_lambda * ridge_lambda
+            * ridge_resolvent_constant(ridge_lambda, sigma_sq, eps))
 
 
 def ridge_resolvent_constant(ridge_lambda: float, sigma_sq: float,
@@ -235,21 +235,20 @@ def draw_embedding_sketch(basis, s: int, rng: np.random.Generator, *,
 
 
 def check_embedding_rate(n_trials: int, rng: np.random.Generator, *,
-                         m: int = 80, d: int = 6, eps: float = 0.5,
-                         delta: float = 0.1, s: int | None = None):
+                         m: int = 80, d: int = 6):
     """Empirical subspace-embedding success rate at the guaranteed size.
 
     Fixes one Gaussian m x d matrix, then draws n_trials independent
-    shrinked-leverage sketches with s rows (default: the guaranteed size
-    for eps, delta) and records the measured distortion against eps.  The
-    stated failure probability delta rides along in params.
+    shrinked-leverage sketches with s rows, the guaranteed size for
+    eps = 0.5 and delta = 0.1, and records the measured distortion against
+    eps.  The stated failure probability delta rides along in params.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if d > m:
         raise HypothesisError(f"need d <= m, got d={d} > m={m}")
-    if s is None:
-        s = embedding_sketch_size(d, eps, delta)
+    eps, delta = 0.5, 0.1
+    s = embedding_sketch_size(d, eps, delta)
     target = rng.standard_normal((m, d))
     basis = orthonormal_basis(target)
     profile = shrinked_row_scores(basis)
@@ -266,10 +265,9 @@ def check_embedding_rate(n_trials: int, rng: np.random.Generator, *,
 
 
 def check_ridge_resolvent_bound(n_instances: int, rng: np.random.Generator, *,
-                                m: int = 25, d: int = 4,
-                                s: int | None = None,
-                                ridge_lambda: float = 1.0, eps: float = 0.5):
-    """Resolvent bound under a verified embedding.
+                                ridge_lambda: float = 1.0):
+    """Resolvent bound under a verified embedding, on Gaussian 25 x 4 A,
+    a verified 25-row sketch at eps = 0.5 and Gaussian v.
 
     For full-column-rank A (m x d, d <= m), a verified (1 +/- eps)
     embedding S for A, lam > 0 and any v:
@@ -303,12 +301,9 @@ def check_ridge_resolvent_bound(n_instances: int, rng: np.random.Generator, *,
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")
-    if d > m:
-        raise HypothesisError(f"need d <= m, got d={d} > m={m}")
     if ridge_lambda <= 0:
         raise HypothesisError("ridge_lambda must be > 0")
-    if s is None:
-        s = max(25, 5 * d)
+    m, d, s, eps = 25, 4, 25, 0.5
     reports = []
     for trial in range(n_instances):
         a = rng.standard_normal((m, d))
@@ -337,9 +332,7 @@ def check_ridge_resolvent_bound(n_instances: int, rng: np.random.Generator, *,
 
 
 def check_sketched_ridge_bound(n_instances: int, rng: np.random.Generator, *,
-                               m: int = 30, d: int = 5, n_targets: int = 8,
-                               s: int = 25, ridge_lambda: float = 1.0,
-                               eps: float = 0.5, sigma_e: float = 0.1):
+                               sigma_e: float = 0.1):
     """Deterministic reconstruction bound for sketched noisy ridge fits.
 
     B (m x d) full column rank, targets T (m x k) arbitrary, observed
@@ -356,22 +349,34 @@ def check_sketched_ridge_bound(n_instances: int, rng: np.random.Generator, *,
                            + 4/(1-eps) ||S^T E||_F^2
                            + 4/(1-eps) ||S^T (I-P) T||_F^2.
 
-    Each instance is checked twice on the same B and sketch: the matrix
-    form (sketched-ridge-matrix) with X = 0 on all n_targets columns, and
-    the vector form (sketched-ridge-vector) on the first column with a
-    random proximal point x.  For f(z) = ||B z - b||^2, Pythagoras gives
-    f(x) - f(B^+ b) = ||B x - P b||^2 and f(B^+ b) = ||(I-P) b||^2, so the
-    vector form is the same inequality.  Both must hold on every accepted
-    instance.
+    Proof.  Write Bs = S^T B, R = (Bs^T Bs + lam I)^{-1}, T' = (I-P) T and
+    y = S^T (T' + E).  Since S^T P T = Bs B^+ T, Z - B^+ T = R (Bs^T y +
+    lam (X - B^+ T)), and B (Z - B^+ T) is orthogonal to T'.  So by
+    Pythagoras and (a+b)^2 <= 2a^2 + 2b^2 the left side is at most
+    ||T'||^2 + 2 ||lam B R (X - B^+ T)||^2 + 2 ||B R Bs^T y||^2.  The
+    resolvent bound (check_ridge_resolvent_bound) takes the middle term to
+    2 lam^2 c ||B X - P T||^2, c = ridge_resolvent_constant(lam,
+    sigma_d(B)^2, eps), which is gamma.  With B = U Sigma V^T, G = S^T U
+    and K = G^T G >= (1-eps) I, B R Bs^T = U (K + lam Sigma^-2)^{-1} G^T
+    has squared norm at most ||(K + lam Sigma^-2)^{-1}|| <= 1/(1-eps), and
+    a second split of ||y||^2 gives the noise gain 4/(1-eps).  The earlier
+    gamma lacked a factor (1+eps)/(1-eps); tests/test_theory.py pins a 1-D
+    instance whose left side is 1.46 times its right side.
+
+    The battery fits Gaussian B (30 x 5) and 8 targets with lam = 1 and a
+    verified 25-row sketch at eps = 0.5, E ~ N(0, sigma_e^2).  Each
+    instance is checked twice on the same B and sketch: the matrix form
+    (sketched-ridge-matrix) with X = 0 on all the targets, and the vector
+    form (sketched-ridge-vector) on the first column with a random
+    proximal point x; by Pythagoras, f(x) - f(B^+ b) = ||B x - P b||^2 for
+    f(z) = ||B z - b||^2, so the vector form is the same inequality.  Both
+    must hold on every accepted instance.
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")
-    if d > m:
-        raise HypothesisError(f"need d <= m, got d={d} > m={m}")
-    if ridge_lambda < 0:
-        raise HypothesisError("ridge_lambda must be nonnegative")
     if sigma_e < 0:
         raise HypothesisError("sigma_e must be nonnegative")
+    m, d, n_targets, s, ridge_lambda, eps = 30, 5, 8, 25, 1.0, 0.5
     reports = []
     eye = np.eye(d)
     for trial in range(n_instances):
@@ -422,15 +427,13 @@ def check_sketched_ridge_bound(n_instances: int, rng: np.random.Generator, *,
 
 def check_span_capture_bound(rank: int, n_instances: int,
                              rng: np.random.Generator, *,
-                             m: int = 200, d: int = 6, n_cols: int = 40,
-                             eps: float = 0.5, delta: float = 0.3,
-                             hypothesis_margin: float = 1.0,
                              sigma_c: float | None = None):
     """Span capture under additive Gaussian noise on the sampled columns.
 
-    Builds A = U M and C = U W with a shared orthonormal U (m x rank) and
-    full-row-rank M, W, so C spans the column space of A exactly.  When
-    the smallest nonzero singular value of C clears the noise threshold
+    Builds A = U M (200 x 40) and C = U W (200 x 6) with a shared
+    orthonormal U (m x rank) and full-row-rank M, W, so C spans the column
+    space of A exactly.  With eps = 0.5 and delta = 0.3, when the smallest
+    nonzero singular value of C clears the noise threshold
 
         sigma_r(C) >= 2 (1 + delta) sigma_c sqrt(m / eps),
 
@@ -443,24 +446,15 @@ def check_span_capture_bound(rank: int, n_instances: int,
     are drawn once; each trial redraws G only, matching the probability
     space of the guarantee.
 
-    sigma_c defaults to the largest level the hypothesis admits divided by
-    hypothesis_margin; passing a larger explicit value raises
-    HypothesisError.
+    sigma_c defaults to the largest level the hypothesis admits; passing a
+    larger value raises HypothesisError.
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")
-    if not 0 < eps < 1:
-        raise HypothesisError("eps must be in (0, 1)")
-    if not 0 < delta < 1:
-        raise HypothesisError("delta must be in (0, 1)")
+    m, d, n_cols, eps, delta = 200, 6, 40, 0.5, 0.3
     if not 1 <= rank <= min(m, d):
         raise HypothesisError(
             f"need 1 <= rank <= min(m, d); got rank={rank}, m={m}, d={d}")
-    if n_cols < rank:
-        raise HypothesisError("n_cols must be >= rank for a full-row-rank "
-                              "coefficient matrix")
-    if hypothesis_margin < 1:
-        raise HypothesisError("hypothesis_margin must be >= 1")
 
     u = np.linalg.qr(rng.standard_normal((m, rank)))[0]
     coeff_a = rng.standard_normal((rank, n_cols))
@@ -475,7 +469,7 @@ def check_span_capture_bound(rank: int, n_instances: int,
 
     sigma_c_max = sigma_min_c * math.sqrt(eps / m) / (2 * (1 + delta))
     if sigma_c is None:
-        sigma_c = sigma_c_max / hypothesis_margin
+        sigma_c = sigma_c_max
     elif sigma_c < 0:
         raise HypothesisError("sigma_c must be nonnegative")
     elif sigma_c > sigma_c_max * (1 + 1e-12):
@@ -508,14 +502,15 @@ def _sigma_gap(m: int, rank: int, d: int) -> float:
 
 def check_perturbed_sigma(n_instances: int, rng: np.random.Generator, *,
                           m: int = 400, d: int = 5, rank: int = 2,
-                          sigma: float = 1.0, delta: float = 0.3):
+                          sigma: float = 1.0):
     """Lower bound on the bottom singular value after Gaussian perturbation.
 
     For a fixed rank-r C (m x d) and E i.i.d. N(0, sigma^2):
 
         sigma_d(C + E)^2 >= (1/2 sqrt(m - r) - sqrt(d))^2 sigma^2
 
-    with failure probability at most exp(-(m - r) delta^2 / 2).  The
+    with failure probability at most exp(-(m - r) delta^2 / 2), delta =
+    0.3.  The
     report puts the guaranteed value in lhs and the observed squared
     singular value in rhs.  Instances with 1/2 sqrt(m - r) <= sqrt(d) are
     rejected: the bound's pre-square term goes negative and the displayed
@@ -526,8 +521,6 @@ def check_perturbed_sigma(n_instances: int, rng: np.random.Generator, *,
     if not 1 <= rank <= min(m, d):
         raise HypothesisError(
             f"need 1 <= rank <= min(m, d); got rank={rank}, m={m}, d={d}")
-    if not 0 < delta < 1:
-        raise HypothesisError("delta must be in (0, 1)")
     if sigma < 0:
         raise HypothesisError("sigma must be nonnegative")
     gap = _sigma_gap(m, rank, d)
@@ -538,6 +531,7 @@ def check_perturbed_sigma(n_instances: int, rng: np.random.Generator, *,
 
     c = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, d))
     bound = gap * gap * sigma * sigma
+    delta = 0.3
     fail_prob = math.exp(-(m - rank) * delta * delta / 2)
     params = {"m": m, "d": d, "r": rank, "sigma": sigma, "delta": delta,
               "fail_prob": fail_prob, "direction": "lower"}

@@ -321,6 +321,21 @@ class TestInfo:
         assert main(["info", "--data", str(bad)]) == 1
         assert f"config error: {bad} must be 2-D" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, entries, message", [
+        ("bad.npy", np.array([["a", "b"]]), "holds <U1 entries"),
+        ("bad.npy", np.eye(2) * 1j, "holds complex128 entries"),
+        ("bad.npz", None, "is an .npz archive"),
+    ], ids=["strings", "complex", "archive"])
+    def test_non_real_data_file_exits_one_naming_file(
+            self, tmp_path, capsys, name, entries, message):
+        bad = tmp_path / name
+        if entries is None:
+            np.savez(bad, x=np.eye(2))
+        else:
+            np.save(bad, entries)
+        assert main(["info", "--data", str(bad)]) == 1
+        assert f"config error: {bad} {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("rank", [[], ["--rank", "2"]],
                              ids=["numerical-rank", "given-rank"])
     def test_zero_matrix_exits_one_naming_file(self, tmp_path, capsys, rank):

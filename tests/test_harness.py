@@ -251,6 +251,16 @@ class TestConfigResolution:
                                **admm}},
         }
 
+    def test_no_defaults_outside_schema(self):
+        # every field comes from config_from_dict, so a hand-built config
+        # that leaves one out fails at once, not in run_sweep
+        resolved = config_from_dict({})
+        given = {key: getattr(resolved, key)
+                 for key in ("dataset", "cost", "d_grid", "n_trials",
+                             "algorithms", "master_seed", "workers")}
+        with pytest.raises(TypeError, match="hyper"):
+            ExperimentConfig(**given)
+
 
 class TestDatasetAndCostModel:
     def test_synthetic_load(self):
@@ -886,7 +896,7 @@ def summary_row(d, trial, err, wall_ms=1.0, seed=None, algorithm="ncur"):
         wall_ms=wall_ms, feasible=feasible)
 
 
-class TestVShape:
+class TestSummarize:
     """summarize's mean error-vs-d curve, its best d and whether that d is
     interior."""
 

@@ -49,7 +49,7 @@ def split(budget, n, d, m=12):
     return draw.c_tilde.shape[1], draw.sketch.n_samples, oracle
 
 
-class TestPlanSplit:
+class TestNoisyCurPlan:
     """The budget split of noisyCUR's read: d columns, then as many full
     sketched rows as the rest buys."""
 
